@@ -25,19 +25,28 @@ type PubSub interface {
 
 // Subscription is a live topic subscription.
 type Subscription struct {
-	ch     chan Publication
+	ch     chan Publication // nil for SubscribeFunc subscriptions
 	cancel func()
 	once   sync.Once
 
+	// mu serializes deliveries with each other and with Cancel: fn runs
+	// under it, so once Cancel returns no call is running or can start.
 	mu     sync.Mutex
 	closed bool
+	fn     func(Publication)
+	// rev is the newest retained revision delivered. The retained value
+	// handed over on subscribe can lose a race to a concurrent
+	// publication; when it is not newer than rev it is skipped.
+	rev    uint64
 	onDrop func()
 }
 
-// Ch returns the delivery channel. It is closed on Cancel.
+// Ch returns the delivery channel of a Subscribe subscription (nil for
+// SubscribeFunc). It is closed on Cancel.
 func (s *Subscription) Ch() <-chan Publication { return s.ch }
 
-// Cancel removes the subscription and closes the channel.
+// Cancel removes the subscription and closes its channel. No delivery
+// runs after it returns, so a SubscribeFunc callback must not call it.
 func (s *Subscription) Cancel() { s.once.Do(s.cancel) }
 
 // SetOnDrop installs a hook called once per publication dropped because
@@ -45,43 +54,54 @@ func (s *Subscription) Cancel() { s.once.Do(s.cancel) }
 // slow subscribers by design; the hook lets consumers that care — the
 // telemetry plane counts sheds — observe the loss without slowing
 // delivery to other subscribers. fn runs on the delivering goroutine
-// outside the subscription lock and must not block. Safe for concurrent
-// use.
+// under the subscription lock, so it must not block or call back into
+// the subscription. Safe for concurrent use.
 func (s *Subscription) SetOnDrop(fn func()) {
 	s.mu.Lock()
 	s.onDrop = fn
 	s.mu.Unlock()
 }
 
-// deliver enqueues a publication, dropping it if the subscriber is slow
-// or already cancelled. The mutex serializes against closeCh so a send
-// can never race a close.
-func (s *Subscription) deliver(p Publication) {
+// newChanSubscription is the channel form: its callback enqueues without
+// blocking and sheds (counting through onDrop) when the queue is full.
+func newChanSubscription(queue int) *Subscription {
+	if queue <= 0 {
+		queue = 64
+	}
+	s := &Subscription{ch: make(chan Publication, queue)}
+	s.fn = func(p Publication) {
+		select {
+		case s.ch <- p:
+		default:
+			if s.onDrop != nil {
+				s.onDrop()
+			}
+		}
+	}
+	return s
+}
+
+// deliver runs the subscriber's callback unless the subscription is
+// cancelled, or p is the subscribe-time replay of a retained value and
+// not newer than a publication already delivered. rev is p's retained
+// revision (0 when unknown).
+func (s *Subscription) deliver(p Publication, rev uint64, replay bool) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.closed || (replay && rev <= s.rev) {
 		return
 	}
-	dropped := false
-	select {
-	case s.ch <- p:
-	default:
-		dropped = true
-	}
-	onDrop := s.onDrop
-	s.mu.Unlock()
-	if dropped && onDrop != nil {
-		onDrop()
-	}
+	s.rev = max(s.rev, rev)
+	s.fn(p)
 }
 
 func (s *Subscription) closeCh() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
+	if !s.closed && s.ch != nil {
 		close(s.ch)
 	}
+	s.closed = true
 }
 
 // proxyMsg is the inter-proxy wire message.
@@ -108,11 +128,8 @@ type Bus struct {
 	proxies map[simnet.SiteID]*proxy
 	wanMsgs atomic.Uint64
 
-	relMu sync.RWMutex
-	rel   Reliability
-
-	beatMu sync.RWMutex
-	beat   func()
+	rel  atomic.Pointer[Reliability]
+	beat atomic.Pointer[func()]
 
 	sendErrors metrics.Counter
 	retries    metrics.Counter
@@ -169,12 +186,9 @@ type retainedMsg struct {
 
 // New creates a bus over the given simulated network.
 func New(net *simnet.Network) *Bus {
-	return &Bus{
-		net:        net,
-		proxies:    make(map[simnet.SiteID]*proxy),
-		rel:        Reliability{}.withDefaults(),
-		pubLatency: metrics.NewHistogram(),
-	}
+	b := &Bus{net: net, proxies: make(map[simnet.SiteID]*proxy), pubLatency: metrics.NewHistogram()}
+	b.SetReliability(Reliability{})
+	return b
 }
 
 // AddSite creates the proxy for a site. Every site that publishes or
@@ -220,18 +234,29 @@ func (b *Bus) proxyFor(site simnet.SiteID) (*proxy, error) {
 	return p, nil
 }
 
-// Subscribe registers a subscriber at the given site. If the topic's
+// Subscribe registers a subscriber at the given site, delivering on a
+// channel of the given depth that sheds when full. If the topic's
 // publisher site differs, a filter-install message is sent to that
 // site's proxy so future publications are forwarded here.
 func (b *Bus) Subscribe(site simnet.SiteID, topic Topic, queue int) (*Subscription, error) {
+	return b.subscribe(site, topic, newChanSubscription(queue))
+}
+
+// SubscribeFunc registers a subscriber that the bus calls back with
+// every publication, at delivery time: on a proxy goroutine, or on the
+// publisher's goroutine for a same-site publication — including the
+// current retained value, before SubscribeFunc returns. Nothing is
+// queued or shed; fn must not block, and deliveries to one subscription
+// never overlap.
+func (b *Bus) SubscribeFunc(site simnet.SiteID, topic Topic, fn func(Publication)) (*Subscription, error) {
+	return b.subscribe(site, topic, &Subscription{fn: fn})
+}
+
+func (b *Bus) subscribe(site simnet.SiteID, topic Topic, sub *Subscription) (*Subscription, error) {
 	p, err := b.proxyFor(site)
 	if err != nil {
 		return nil, err
 	}
-	if queue <= 0 {
-		queue = 64
-	}
-	sub := &Subscription{ch: make(chan Publication, queue)}
 	sub.cancel = func() { p.unsubscribe(topic, sub) }
 
 	p.mu.Lock()
@@ -248,7 +273,7 @@ func (b *Bus) Subscribe(site simnet.SiteID, topic Topic, queue int) (*Subscripti
 	// Deliver this proxy's retained copy (if any) so late subscribers
 	// see current state immediately.
 	if hasRetained {
-		sub.deliver(Publication{Topic: topic, Payload: ret.payload})
+		sub.deliver(Publication{Topic: topic, Payload: ret.payload}, ret.rev, true)
 	}
 
 	// Install the filter at the publisher's site on first local
@@ -303,10 +328,7 @@ func (p *proxy) fanOut(topic Topic, payload any, size, hops int, pubNs int64) {
 	p.revSeq++
 	rev := p.revSeq
 	p.retained[topic] = retainedMsg{payload: payload, size: size, rev: rev}
-	var local []*Subscription
-	for sub := range p.localSubs[topic] {
-		local = append(local, sub)
-	}
+	local := p.localSubsLocked(topic)
 	var remote []simnet.SiteID
 	for site := range p.remoteFilters[topic] {
 		remote = append(remote, site)
@@ -314,7 +336,7 @@ func (p *proxy) fanOut(topic Topic, payload any, size, hops int, pubNs int64) {
 	p.mu.Unlock()
 
 	for _, sub := range local {
-		sub.deliver(Publication{Topic: topic, Payload: payload, Hops: hops})
+		sub.deliver(Publication{Topic: topic, Payload: payload, Hops: hops}, rev, false)
 	}
 	for _, site := range remote {
 		_ = p.sendReliable(site, proxyMsg{kind: "pub", topic: topic, payload: payload, rev: rev, pubNs: pubNs}, size)
@@ -332,11 +354,14 @@ func (p *proxy) applyRemote(topic Topic, payload any, size int, rev uint64, pubN
 		return
 	}
 	p.retained[topic] = retainedMsg{payload: payload, size: size, rev: rev}
+	local := p.localSubsLocked(topic)
 	p.mu.Unlock()
 	if pubNs > 0 {
 		p.bus.pubLatency.Observe(time.Duration(time.Now().UnixNano() - pubNs))
 	}
-	p.deliverLocal(topic, payload, 1)
+	for _, sub := range local {
+		sub.deliver(Publication{Topic: topic, Payload: payload, Hops: 1}, rev, false)
+	}
 }
 
 // run drains the proxy's endpoint.
@@ -395,16 +420,13 @@ func (p *proxy) run() {
 	}
 }
 
-func (p *proxy) deliverLocal(topic Topic, payload any, hops int) {
-	p.mu.Lock()
-	var local []*Subscription
+// localSubsLocked lists the topic's local subscribers; p.mu is held.
+func (p *proxy) localSubsLocked(topic Topic) []*Subscription {
+	local := make([]*Subscription, 0, len(p.localSubs[topic]))
 	for sub := range p.localSubs[topic] {
 		local = append(local, sub)
 	}
-	p.mu.Unlock()
-	for _, sub := range local {
-		sub.deliver(Publication{Topic: topic, Payload: payload, Hops: hops})
-	}
+	return local
 }
 
 // WANMessages returns the count of inter-site proxy transmissions.

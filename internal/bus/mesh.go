@@ -42,16 +42,13 @@ func NewMesh(net *simnet.Network) *Mesh {
 // Subscribe attaches a dedicated endpoint for the subscriber (full mesh:
 // no shared per-site delivery).
 func (m *Mesh) Subscribe(site simnet.SiteID, topic Topic, queue int) (*Subscription, error) {
-	if queue <= 0 {
-		queue = 64
-	}
+	sub := newChanSubscription(queue)
 	id := m.seq.Add(1)
-	ep, err := m.net.Attach(simnet.Addr{Site: site, Host: meshHost("sub", id)}, queue)
+	ep, err := m.net.Attach(simnet.Addr{Site: site, Host: meshHost("sub", id)}, cap(sub.ch))
 	if err != nil {
 		return nil, err
 	}
 	ms := &meshSub{site: site, ep: ep}
-	sub := &Subscription{ch: make(chan Publication, queue)}
 	sub.cancel = func() {
 		m.mu.Lock()
 		if set, ok := m.subs[topic]; ok {
@@ -81,7 +78,7 @@ func (m *Mesh) Subscribe(site simnet.SiteID, topic Topic, queue int) (*Subscript
 			if msg.From.Site != site {
 				hops = 1
 			}
-			sub.deliver(Publication{Topic: topic, Payload: msg.Payload, Hops: hops})
+			sub.deliver(Publication{Topic: topic, Payload: msg.Payload, Hops: hops}, 0, false)
 		}
 	}()
 	return sub, nil

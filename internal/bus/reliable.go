@@ -60,33 +60,18 @@ func (r Reliability) withDefaults() Reliability {
 // SetReliability replaces the delivery tuning at runtime (tests tighten
 // the retry budget to force the anti-entropy path).
 func (b *Bus) SetReliability(r Reliability) {
-	b.relMu.Lock()
-	b.rel = r.withDefaults()
-	b.relMu.Unlock()
+	r = r.withDefaults()
+	b.rel.Store(&r)
 }
 
-func (b *Bus) reliability() Reliability {
-	b.relMu.RLock()
-	defer b.relMu.RUnlock()
-	return b.rel
-}
+func (b *Bus) reliability() Reliability { return *b.rel.Load() }
 
 // SetBeat installs a health-watchdog heartbeat the bus machinery calls
 // on every retry-loop tick of every site proxy. The retry ticker fires
 // whether or not traffic is flowing, so — unlike data-plane runner
 // beats — bus silence past the stall threshold always means the bus's
 // goroutines are actually wedged. A nil beat disables it.
-func (b *Bus) SetBeat(beat func()) {
-	b.beatMu.Lock()
-	b.beat = beat
-	b.beatMu.Unlock()
-}
-
-func (b *Bus) beatFn() func() {
-	b.beatMu.RLock()
-	defer b.beatMu.RUnlock()
-	return b.beat
-}
+func (b *Bus) SetBeat(beat func()) { b.beat.Store(&beat) }
 
 // Stats is a snapshot of the bus's WAN delivery counters.
 type Stats struct {
@@ -134,6 +119,13 @@ func (b *Bus) Stats() Stats {
 // sends the substrate rejected.
 func (b *Bus) WANDrops() uint64 {
 	return b.drops.Load() + b.sendErrors.Load()
+}
+
+// outMsg is a transmission collected under a lock and sent after it.
+type outMsg struct {
+	site simnet.SiteID
+	m    proxyMsg
+	size int
 }
 
 // pendingMsg is an unacknowledged reliable transmission.
@@ -241,23 +233,18 @@ func (p *proxy) admitReliable(pm proxyMsg) bool {
 func (p *proxy) retryLoop() {
 	ticker := time.NewTicker(20 * time.Millisecond)
 	defer ticker.Stop()
-	type resend struct {
-		site simnet.SiteID
-		m    proxyMsg
-		size int
-	}
 	for {
 		select {
 		case <-p.stop:
 			return
 		case <-ticker.C:
 		}
-		if beat := p.bus.beatFn(); beat != nil {
-			beat()
+		if beat := p.bus.beat.Load(); beat != nil && *beat != nil {
+			(*beat)()
 		}
 		rel := p.bus.reliability()
 		now := time.Now()
-		var out []resend
+		var out []outMsg
 		p.outMu.Lock()
 		for site, byseq := range p.pending {
 			for seq, pm := range byseq {
@@ -275,7 +262,7 @@ func (p *proxy) retryLoop() {
 					backoff = rel.RetryMax
 				}
 				pm.nextRetry = now.Add(backoff)
-				out = append(out, resend{site: site, m: pm.m, size: pm.size})
+				out = append(out, outMsg{site: site, m: pm.m, size: pm.size})
 			}
 		}
 		p.outMu.Unlock()
@@ -325,13 +312,7 @@ func (p *proxy) resyncLoop() {
 // requester's revision lags this home's retained state is re-sent, and
 // missing subscription filters are re-installed.
 func (p *proxy) handleSyncReq(pm proxyMsg) {
-	type reply struct {
-		topic   Topic
-		payload any
-		size    int
-		rev     uint64
-	}
-	var replies []reply
+	var replies []outMsg
 	p.mu.Lock()
 	for topic, known := range pm.revs {
 		f, ok := p.remoteFilters[topic]
@@ -345,20 +326,13 @@ func (p *proxy) handleSyncReq(pm proxyMsg) {
 			f[pm.site] = 1
 		}
 		if ret, ok := p.retained[topic]; ok && ret.rev > known {
-			replies = append(replies, reply{topic: topic, payload: ret.payload, size: ret.size, rev: ret.rev})
+			m := proxyMsg{kind: "syncpub", topic: topic, payload: ret.payload, rev: ret.rev, from: p.site}
+			replies = append(replies, outMsg{site: pm.site, m: m, size: ret.size})
 		}
 	}
 	p.mu.Unlock()
 	for _, r := range replies {
 		p.bus.resyncs.Inc()
-		m := proxyMsg{kind: "syncpub", topic: r.topic, payload: r.payload, rev: r.rev, from: p.site}
-		_ = p.sendRaw(pm.site, m, r.size, false)
+		_ = p.sendRaw(r.site, r.m, r.size, false)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

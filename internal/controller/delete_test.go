@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -109,5 +110,51 @@ func TestDeleteChainFreesLabelForReuse(t *testing.T) {
 	}
 	if rec2.ChainLabel == 0 {
 		t.Error("no label allocated")
+	}
+}
+
+// TestDeleteChainStopsDedicatedInstances runs create/delete cycles of a
+// chain whose VNF gives every chain its own instances: each delete must
+// stop and detach them, so instances, attached endpoints and goroutines
+// all return to where they were after the first cycle.
+func TestDeleteChainStopsDedicatedInstances(t *testing.T) {
+	tb := newTestbed(t, time.Millisecond, "A", "B")
+	tb.registerSites(1000, "A", "B")
+	v := tb.addVNF("fw", func() vnf.Function { return vnf.PassThrough{} }, 1.0, false,
+		map[simnet.SiteID]float64{"B": 100})
+	cycle := func(i int) {
+		id := ChainID(fmt.Sprintf("c%d", i))
+		if _, err := tb.g.CreateChain(Spec{ID: id, IngressSite: "A", EgressSite: "B", VNFs: []string{"fw"}, ForwardRate: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(v.InstancesAt("B")); got != 1 {
+			t.Fatalf("cycle %d: %d instances while the chain stands, want 1", i, got)
+		}
+		if err := tb.g.DeleteChain(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle(0)
+	// A site pair's WAN pipe starts on its first message; there is one
+	// per pair, however many chains there are.
+	endpoints, leaks := len(tb.net.Endpoints()), testutil.StartLeakCheck("simnet.(*Network).pipeFor")
+	for i := 1; i <= 200; i++ {
+		cycle(i)
+	}
+	if got := len(v.InstancesAt("B")); got != 0 {
+		t.Errorf("%d instances left after 200 cycles, want 0", got)
+	}
+	if got := len(tb.net.Endpoints()); got != endpoints {
+		t.Errorf("%d endpoints attached after 200 cycles, want %d as after the first", got, endpoints)
+	}
+	if err := leaks.Wait(0); err != nil {
+		t.Errorf("goroutines left by 200 cycles: %v", err)
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for site, stacks := range v.served {
+		if len(stacks) > 0 {
+			t.Errorf("%d deleted chains still recorded as served at %s", len(stacks), site)
+		}
 	}
 }

@@ -901,9 +901,10 @@ func (g *GlobalSwitchboard) RecomputeChain(id ChainID, newForward, newReverse fl
 }
 
 // DeleteChain tears a chain down: VNF reservations are released, the
-// chain label returns to the pool, and a tombstone record (no splits) is
-// published so Local Switchboards remove their rules and subscriptions.
-// In-flight connections drop, as when a customer deactivates a service.
+// chain's dedicated VNF instances are stopped, the chain label returns
+// to the pool, and a tombstone record (no splits) is published so Local
+// Switchboards remove their rules and subscriptions. In-flight
+// connections drop, as when a customer deactivates a service.
 func (g *GlobalSwitchboard) DeleteChain(id ChainID) error {
 	g.mu.Lock()
 	cr, ok := g.chains[id]
@@ -916,7 +917,6 @@ func (g *GlobalSwitchboard) DeleteChain(id ChainID) error {
 	tombstone.Splits = nil
 	tombstone.Version = cr.rec.Version + 1
 	tombstone.Deleted = true
-	g.alloc.Release(cr.rec.ChainLabel)
 	tl := g.tl
 	g.mu.Unlock()
 
@@ -925,6 +925,17 @@ func (g *GlobalSwitchboard) DeleteChain(id ChainID) error {
 			v.ReleaseLoad(perSite)
 		}
 	}
+	// Instances go before the label is reused, so a new chain on the same
+	// label stack never loses its own instances to this teardown.
+	st := labels.Stack{Chain: cr.rec.ChainLabel, Egress: cr.rec.EgressLabel}
+	for _, vnfName := range cr.rec.VNFs {
+		if v := g.vnf(vnfName); v != nil {
+			v.ReleaseChain(st)
+		}
+	}
+	g.mu.Lock()
+	g.alloc.Release(cr.rec.ChainLabel)
+	g.mu.Unlock()
 	// The snapshot no longer contains the chain; send the tombstone
 	// explicitly so sites clean up.
 	if err := g.bus.Publish(g.site, g.RoutesTopic(), []*RouteRecord{&tombstone}, 256); err != nil {

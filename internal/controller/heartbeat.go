@@ -34,12 +34,11 @@ func HeartbeatsTopic(gsbSite simnet.SiteID) bus.Topic {
 // until the Local Switchboard is closed. Safe to call once per LS.
 func (ls *LocalSwitchboard) StartHeartbeats(interval time.Duration) {
 	ls.mu.Lock()
-	if ls.closed || ls.hbStop != nil {
+	if ls.closed || ls.heartbeats {
 		ls.mu.Unlock()
 		return
 	}
-	stop := make(chan struct{})
-	ls.hbStop = stop
+	ls.heartbeats = true
 	ls.wg.Add(1)
 	ls.mu.Unlock()
 
@@ -53,7 +52,7 @@ func (ls *LocalSwitchboard) StartHeartbeats(interval time.Duration) {
 			seq++
 			_ = ls.bus.Publish(ls.site, topic, Heartbeat{Site: ls.site, Seq: seq}, 16)
 			select {
-			case <-stop:
+			case <-ls.stop:
 				return
 			case <-ticker.C:
 			}

@@ -32,12 +32,6 @@ type LocalSwitchboard struct {
 	net     *simnet.Network
 	bus     *bus.Bus
 
-	// scaleMu serializes ScaleForwarders' grow/publish/reinstall sequence
-	// against concurrent scale calls (which would otherwise race
-	// failover's reinstall and publish stale member lists). It is always
-	// taken before mu, never while holding it.
-	scaleMu sync.Mutex
-
 	mu         sync.Mutex
 	forwarders map[string]*roleRuntime
 	edgeInst   *edge.Instance
@@ -46,9 +40,19 @@ type LocalSwitchboard struct {
 	tl         *Timeline
 	rec        *obs.Recorder
 	routesSub  *bus.Subscription
-	hbStop     chan struct{}
+	heartbeats bool
 	wg         sync.WaitGroup
 	closed     bool
+
+	// One apply loop (applyLoop) applies route records, runs
+	// ScaleForwarders' steps and reinstalls rules, so installs never race
+	// each other. Bus callbacks only record their publication here, under
+	// mu, and wake it. Lock order: a subscription's delivery lock, then
+	// mu; no bus call is made while mu is held.
+	steps []func()         // route publications and scale steps, in order
+	dirty map[ChainID]bool // chains whose dependency lists changed
+	wake  chan struct{}    // capacity 1: a pending wake-up
+	stop  chan struct{}    // closed by Close; also stops heartbeats
 
 	// routesApplied counts route records accepted (new or newer version).
 	routesApplied atomic.Uint64
@@ -117,9 +121,12 @@ type roleRuntime struct {
 
 type chainState struct {
 	rec *RouteRecord
-	// infos caches the latest InstanceInfo list per subscribed topic.
-	infos map[bus.Topic][]InstanceInfo
-	subs  []*bus.Subscription
+	// infos caches the latest InstanceInfo list per subscribed topic; only
+	// the apply loop touches it. pending holds lists delivered since the
+	// last install, under mu.
+	infos   map[bus.Topic][]InstanceInfo
+	pending map[bus.Topic][]InstanceInfo
+	subs    []*bus.Subscription
 }
 
 // NewLocalSwitchboard creates the Local Switchboard for a site and
@@ -132,27 +139,81 @@ func NewLocalSwitchboard(net *simnet.Network, b *bus.Bus, site, gsbSite simnet.S
 		bus:        b,
 		forwarders: make(map[string]*roleRuntime),
 		chains:     make(map[ChainID]*chainState),
+		dirty:      make(map[ChainID]bool),
+		wake:       make(chan struct{}, 1),
+		stop:       make(chan struct{}),
 	}
-	sub, err := b.Subscribe(site, routesTopic(gsbSite), 256)
+	sub, err := b.SubscribeFunc(site, routesTopic(gsbSite), func(pub bus.Publication) {
+		if recs, ok := pub.Payload.([]*RouteRecord); ok {
+			ls.enqueue(func() {
+				for _, rec := range recs {
+					ls.onRoute(rec)
+				}
+			})
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("controller: local SB at %s subscribing to routes: %w", site, err)
 	}
 	ls.routesSub = sub
 	ls.wg.Add(1)
-	go func() {
-		defer ls.wg.Done()
-		for pub := range sub.Ch() {
-			switch recs := pub.Payload.(type) {
-			case []*RouteRecord:
-				for _, rec := range recs {
-					ls.OnRoute(rec)
-				}
-			case *RouteRecord:
-				ls.OnRoute(recs)
-			}
-		}
-	}()
+	go ls.applyLoop()
 	return ls, nil
+}
+
+// enqueue hands a step to the apply loop; it reports false, dropping the
+// step, once the Local Switchboard is closed.
+func (ls *LocalSwitchboard) enqueue(step func()) bool {
+	ls.mu.Lock()
+	ok := !ls.closed
+	if ok {
+		ls.steps = append(ls.steps, step)
+	}
+	ls.mu.Unlock()
+	ls.poke()
+	return ok
+}
+
+// poke wakes the apply loop without blocking.
+func (ls *LocalSwitchboard) poke() {
+	select {
+	case ls.wake <- struct{}{}:
+	default:
+	}
+}
+
+// applyLoop is the only caller of onRoute, the scale steps and reinstall.
+// Each round runs the queued steps in arrival order, then reinstalls
+// every chain still marked dirty; reinstall clears the mark before it
+// reads the chain's state, so a publication that lands during an install
+// wakes one more round.
+func (ls *LocalSwitchboard) applyLoop() {
+	defer ls.wg.Done()
+	for {
+		select {
+		case <-ls.wake:
+		case <-ls.stop:
+		}
+		ls.mu.Lock()
+		steps, closed := ls.steps, ls.closed
+		ls.steps = nil
+		ls.mu.Unlock()
+		for _, step := range steps {
+			step()
+		}
+		if closed {
+			return
+		}
+		ls.mu.Lock()
+		dirty := make([]ChainID, 0, len(ls.dirty))
+		for id := range ls.dirty {
+			dirty = append(dirty, id)
+		}
+		ls.mu.Unlock()
+		for _, id := range dirty {
+			ls.reinstall(id)
+		}
+	}
 }
 
 // SetTimeline attaches a timeline for responsiveness experiments.
@@ -170,10 +231,6 @@ func (ls *LocalSwitchboard) Site() simnet.SiteID { return ls.site }
 func (ls *LocalSwitchboard) Forwarder(role string) (*forwarder.Forwarder, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return ls.forwarderLocked(role)
-}
-
-func (ls *LocalSwitchboard) forwarderLocked(role string) (*forwarder.Forwarder, error) {
 	rr, err := ls.roleLocked(role)
 	if err != nil {
 		return nil, err
@@ -235,22 +292,25 @@ func (ls *LocalSwitchboard) ForwarderAddr(role string) (simnet.Addr, error) {
 	return simnet.Addr{Site: ls.site, Host: "fwd-" + role}, nil
 }
 
-// roleForwarders returns the role's member forwarders (creating the role
-// with one member on demand).
-func (ls *LocalSwitchboard) roleForwarders(role string) ([]*fwdRuntime, error) {
+// roleForwarders returns the role's member forwarders, creating the role
+// with one member on demand when create is set.
+func (ls *LocalSwitchboard) roleForwarders(role string, create bool) []*fwdRuntime {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	rr, err := ls.roleLocked(role)
-	if err != nil {
-		return nil, err
+	rr, ok := ls.forwarders[role]
+	if !ok && create {
+		rr, _ = ls.roleLocked(role)
 	}
-	return append([]*fwdRuntime(nil), rr.fwds...), nil
+	if rr == nil {
+		return nil
+	}
+	return append([]*fwdRuntime(nil), rr.fwds...)
 }
 
 // publishRole announces the role's forwarder set on the chain's topic.
 func (ls *LocalSwitchboard) publishRole(st labels.Stack, role string) {
-	fwds, err := ls.roleForwarders(role)
-	if err != nil {
+	fwds := ls.roleForwarders(role, true)
+	if len(fwds) == 0 {
 		return
 	}
 	infos := make([]InstanceInfo, 0, len(fwds))
@@ -268,16 +328,23 @@ func (ls *LocalSwitchboard) publishRole(st labels.Stack, role string) {
 // role serves, and rules are installed on the new members.
 //
 // n must be positive (a *ScaleError is returned otherwise; the set
-// never shrinks — scale-in retires VNF instances, not forwarders), and
-// concurrent calls are serialized with each other and with failover's
-// reinstall path so a grow/publish/reinstall sequence can never
-// interleave with another and publish a stale member list.
+// never shrinks — scale-in retires VNF instances, not forwarders). The
+// grow/publish/reinstall step runs on the apply loop, so it never
+// interleaves with another install; ScaleForwarders waits for it.
 func (ls *LocalSwitchboard) ScaleForwarders(role string, n int) error {
 	if n <= 0 {
 		return &ScaleError{Site: ls.site, Role: role, N: n, Reason: "forwarder count must be positive"}
 	}
-	ls.scaleMu.Lock()
-	defer ls.scaleMu.Unlock()
+	done := make(chan error, 1)
+	step := func() { done <- ls.scaleForwarders(role, n) }
+	if !ls.enqueue(step) {
+		step() // closed: the step fails fast
+	}
+	return <-done
+}
+
+// scaleForwarders is ScaleForwarders' step on the apply loop.
+func (ls *LocalSwitchboard) scaleForwarders(role string, n int) error {
 	ls.mu.Lock()
 	if ls.closed {
 		ls.mu.Unlock()
@@ -287,21 +354,17 @@ func (ls *LocalSwitchboard) ScaleForwarders(role string, n int) error {
 	if err == nil {
 		err = ls.growRoleLocked(rr, n)
 	}
-	var chains []ChainID
-	var stacks []labels.Stack
-	for id, cs := range ls.chains {
-		if cs.rec != nil {
-			chains = append(chains, id)
-			stacks = append(stacks, labels.Stack{Chain: cs.rec.ChainLabel, Egress: cs.rec.EgressLabel})
-		}
+	recs := make([]*RouteRecord, 0, len(ls.chains))
+	for _, cs := range ls.chains {
+		recs = append(recs, cs.rec)
 	}
 	ls.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	for i, id := range chains {
-		ls.publishRole(stacks[i], role)
-		ls.reinstall(id)
+	for _, rec := range recs {
+		ls.publishRole(labels.Stack{Chain: rec.ChainLabel, Egress: rec.EgressLabel}, role)
+		ls.reinstall(rec.Chain)
 	}
 	return nil
 }
@@ -315,7 +378,7 @@ func (ls *LocalSwitchboard) EnsureEdge(siteLabel uint32) (*edge.Instance, error)
 	if ls.edgeInst != nil {
 		return ls.edgeInst, nil
 	}
-	if _, err := ls.forwarderLocked(edgeRole); err != nil {
+	if _, err := ls.roleLocked(edgeRole); err != nil {
 		return nil, err
 	}
 	fwdAddr := simnet.Addr{Site: ls.site, Host: "fwd-" + edgeRole}
@@ -336,10 +399,10 @@ func (ls *LocalSwitchboard) Edge() *edge.Instance {
 	return ls.edgeInst
 }
 
-// OnRoute processes a (new or updated) chain route record: determines
+// onRoute processes a (new or updated) chain route record: determines
 // this site's roles, publishes its forwarders for the VNFs it hosts,
 // subscribes to the topics its rules depend on, and (re)installs rules.
-func (ls *LocalSwitchboard) OnRoute(rec *RouteRecord) {
+func (ls *LocalSwitchboard) onRoute(rec *RouteRecord) {
 	st := labels.Stack{Chain: rec.ChainLabel, Egress: rec.EgressLabel}
 	if rec.Deleted {
 		ls.onChainDeleted(rec, st)
@@ -353,7 +416,7 @@ func (ls *LocalSwitchboard) OnRoute(rec *RouteRecord) {
 	}
 	cs, ok := ls.chains[rec.Chain]
 	if !ok {
-		cs = &chainState{infos: make(map[bus.Topic][]InstanceInfo)}
+		cs = &chainState{infos: make(map[bus.Topic][]InstanceInfo), pending: make(map[bus.Topic][]InstanceInfo)}
 		ls.chains[rec.Chain] = cs
 	}
 	if cs.rec != nil && cs.rec.Version >= rec.Version {
@@ -439,152 +502,117 @@ func (ls *LocalSwitchboard) siteHostsStage(rec *RouteRecord, z int) bool {
 }
 
 // dependencyTopics lists the bus topics whose contents feed this site's
-// rules for the chain.
+// rules for the chain. A topic may repeat; subscribe ignores repeats.
 func (ls *LocalSwitchboard) dependencyTopics(rec *RouteRecord, st labels.Stack) []bus.Topic {
-	seen := make(map[bus.Topic]bool)
 	var out []bus.Topic
-	add := func(t bus.Topic) {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+	add := func(role string, sites map[simnet.SiteID]float64) {
+		for s := range sites {
+			out = append(out, forwardersTopic(st, role, s))
 		}
 	}
 	for j, vnfName := range rec.VNFs {
-		z := j + 1 // VNF j receives traffic at stage z
-		if !ls.siteHostsStage(rec, z) {
-			continue
-		}
-		// Local instances of the hosted VNF.
-		add(instancesTopic(st, vnfName, ls.site))
-		// Next-stage forwarders.
-		nextRole, nextSites := ls.stageTargets(rec, z+1)
-		for s := range nextSites {
-			add(forwardersTopic(st, nextRole, s))
-		}
-		// Previous-stage forwarders.
-		prevRole, prevSites := ls.stageSources(rec, z)
-		for s := range prevSites {
-			add(forwardersTopic(st, prevRole, s))
+		if z := j + 1; ls.siteHostsStage(rec, z) {
+			// Local instances, next-stage and previous-stage forwarders.
+			out = append(out, instancesTopic(st, vnfName, ls.site))
+			add(ls.stagePeers(rec, z+1, true))
+			add(ls.stagePeers(rec, z, false))
 		}
 	}
 	if rec.IsIngress(ls.site) {
-		role, sites := ls.stageTargets(rec, 1)
-		for s := range sites {
-			add(forwardersTopic(st, role, s))
-		}
+		add(ls.stagePeers(rec, 1, true))
 	}
 	if rec.EgressSite == ls.site {
-		role, sites := ls.stageSources(rec, rec.Stages())
-		for s := range sites {
-			add(forwardersTopic(st, role, s))
-		}
+		add(ls.stagePeers(rec, rec.Stages(), false))
 	}
 	return out
 }
 
-// stageTargets returns the role (VNF name or edge) receiving stage-z
-// traffic and the destination sites with their split weights from this
-// site (falling back to aggregate weights when this site has no splits).
-func (ls *LocalSwitchboard) stageTargets(rec *RouteRecord, z int) (string, map[simnet.SiteID]float64) {
+// stagePeers returns the role on the far side of this site's stage-z
+// hop and the sites there with their split weights: where stage-z
+// traffic goes from this site (forward) or where it comes from
+// (!forward). When this site has no split of its own for the hop, the
+// aggregate weights are used.
+func (ls *LocalSwitchboard) stagePeers(rec *RouteRecord, z int, forward bool) (string, map[simnet.SiteID]float64) {
+	k := z - 1 // the far side's VNF index
+	if !forward {
+		k = z - 2
+	}
 	role := edgeRole
-	if z <= len(rec.VNFs) {
-		role = rec.VNFs[z-1]
+	if k >= 0 && k < len(rec.VNFs) {
+		role = rec.VNFs[k]
 	}
 	out := make(map[simnet.SiteID]float64)
-	for _, s := range rec.Splits {
-		if s.Stage == z && s.From == ls.site {
-			out[s.To] += s.Weight
-		}
-	}
-	if len(out) == 0 {
+	for _, own := range []bool{true, false} {
 		for _, s := range rec.Splits {
-			if s.Stage == z {
-				out[s.To] += s.Weight
+			near, far := s.From, s.To
+			if !forward {
+				near, far = s.To, s.From
 			}
+			if s.Stage == z && (!own || near == ls.site) {
+				out[far] += s.Weight
+			}
+		}
+		if len(out) > 0 {
+			break
 		}
 	}
 	return role, out
 }
 
-// stageSources returns the role sending stage-z traffic and the source
-// sites with their split weights into this site.
-func (ls *LocalSwitchboard) stageSources(rec *RouteRecord, z int) (string, map[simnet.SiteID]float64) {
-	role := edgeRole
-	if z-1 >= 1 {
-		role = rec.VNFs[z-2]
-	}
-	out := make(map[simnet.SiteID]float64)
-	for _, s := range rec.Splits {
-		if s.Stage == z && s.To == ls.site {
-			out[s.From] += s.Weight
-		}
-	}
-	if len(out) == 0 {
-		for _, s := range rec.Splits {
-			if s.Stage == z {
-				out[s.From] += s.Weight
-			}
-		}
-	}
-	return role, out
-}
-
+// subscribe wires one dependency topic of a chain: its callback keeps
+// the topic's latest list and marks the chain dirty for the apply loop.
 func (ls *LocalSwitchboard) subscribe(cs *chainState, id ChainID, topic bus.Topic) {
-	ls.mu.Lock()
 	if _, exists := cs.infos[topic]; exists {
-		ls.mu.Unlock()
 		return
 	}
 	cs.infos[topic] = nil
-	ls.mu.Unlock()
-
-	sub, err := ls.bus.Subscribe(ls.site, topic, 64)
+	sub, err := ls.bus.SubscribeFunc(ls.site, topic, func(pub bus.Publication) {
+		infos, ok := pub.Payload.([]InstanceInfo)
+		if !ok {
+			return
+		}
+		ls.mu.Lock()
+		cs.pending[topic] = infos
+		ls.dirty[id] = true
+		tl := ls.tl
+		ls.mu.Unlock()
+		tl.Record(fmt.Sprintf("localSB %s received %s", ls.site, topic))
+		ls.poke()
+	})
 	if err != nil {
 		return
 	}
 	ls.mu.Lock()
-	if ls.closed || ls.chains[id] != cs {
-		// Close (or a chain tombstone) already snapshotted the
-		// subscription list; cancel here or the drain goroutine below
-		// would be orphaned and Close would wait forever.
-		ls.mu.Unlock()
-		sub.Cancel()
-		return
+	closed := ls.closed
+	if !closed {
+		cs.subs = append(cs.subs, sub)
 	}
-	cs.subs = append(cs.subs, sub)
-	ls.wg.Add(1)
 	ls.mu.Unlock()
-	go func() {
-		defer ls.wg.Done()
-		for pub := range sub.Ch() {
-			infos, ok := pub.Payload.([]InstanceInfo)
-			if !ok {
-				continue
-			}
-			ls.mu.Lock()
-			cs.infos[topic] = infos
-			tl := ls.tl
-			ls.mu.Unlock()
-			tl.Record(fmt.Sprintf("localSB %s received %s", ls.site, topic))
-			ls.reinstall(id)
-		}
-	}()
+	if closed {
+		sub.Cancel() // Close already cancelled the subscriptions it saw
+	}
 }
 
 // reinstall recomputes and installs rules for a chain at every forwarder
 // role this site plays.
+//
+// Only the apply loop calls it. It clears the chain's dirty mark in the
+// same critical section that reads the chain's state, so no update can
+// land between the read and the mark being cleared.
 func (ls *LocalSwitchboard) reinstall(id ChainID) {
 	ls.mu.Lock()
+	delete(ls.dirty, id)
 	cs, ok := ls.chains[id]
-	if !ok || cs.rec == nil {
+	if !ok {
 		ls.mu.Unlock()
 		return
 	}
 	rec := cs.rec
-	infos := make(map[bus.Topic][]InstanceInfo, len(cs.infos))
-	for t, v := range cs.infos {
-		infos[t] = v
+	for t, v := range cs.pending {
+		cs.infos[t] = v
 	}
+	clear(cs.pending)
+	infos := cs.infos
 	tl := ls.tl
 	ls.mu.Unlock()
 
@@ -600,10 +628,7 @@ func (ls *LocalSwitchboard) reinstall(id ChainID) {
 			ls.removeStaleRule(vnfName, st)
 			continue
 		}
-		members, err := ls.roleForwarders(vnfName)
-		if err != nil {
-			continue
-		}
+		members := ls.roleForwarders(vnfName, true)
 		live := len(infos[instancesTopic(st, vnfName, ls.site)]) > 0
 		for _, rt := range members {
 			f := rt.f
@@ -623,10 +648,8 @@ func (ls *LocalSwitchboard) reinstall(id ChainID) {
 				})
 				spec.LocalVNF = append(spec.LocalVNF, forwarder.WeightedHop{Hop: hop, Weight: info.Weight})
 			}
-			nextRole, nextSites := ls.stageTargets(rec, z+1)
-			spec.Next = ls.weightedForwarders(f, st, infos, nextRole, nextSites)
-			prevRole, prevSites := ls.stageSources(rec, z)
-			spec.Prev = ls.weightedForwarders(f, st, infos, prevRole, prevSites)
+			spec.Next = ls.weightedForwarders(f, st, infos, rec, z+1, true)
+			spec.Prev = ls.weightedForwarders(f, st, infos, rec, z, false)
 			f.InstallRule(st, spec)
 		}
 		if live {
@@ -643,10 +666,8 @@ func (ls *LocalSwitchboard) reinstall(id ChainID) {
 	// stage (ingress side); the forwarder's position-based routing
 	// keeps the two directions apart per connection.
 	if rec.IsIngress(ls.site) || rec.EgressSite == ls.site {
-		if members, err := ls.roleForwarders(edgeRole); err == nil {
-			ls.mu.Lock()
-			edgeInst := ls.edgeInst
-			ls.mu.Unlock()
+		if members := ls.roleForwarders(edgeRole, true); len(members) > 0 {
+			edgeInst := ls.Edge()
 			for _, rt := range members {
 				f := rt.f
 				spec := forwarder.RuleSpec{Chain: string(rec.Chain)}
@@ -655,12 +676,10 @@ func (ls *LocalSwitchboard) reinstall(id ChainID) {
 					spec.LocalVNF = []forwarder.WeightedHop{{Hop: hop, Weight: 1}}
 				}
 				if rec.IsIngress(ls.site) {
-					role, sites := ls.stageTargets(rec, 1)
-					spec.Next = ls.weightedForwarders(f, st, infos, role, sites)
+					spec.Next = ls.weightedForwarders(f, st, infos, rec, 1, true)
 				}
 				if rec.EgressSite == ls.site {
-					role, sites := ls.stageSources(rec, rec.Stages())
-					spec.Prev = ls.weightedForwarders(f, st, infos, role, sites)
+					spec.Prev = ls.weightedForwarders(f, st, infos, rec, rec.Stages(), false)
 				}
 				f.InstallRule(st, spec)
 			}
@@ -674,21 +693,16 @@ func (ls *LocalSwitchboard) reinstall(id ChainID) {
 // removeStaleRule drops a chain's rule from a role's existing forwarder
 // set. Forwarders are never created just to delete from them.
 func (ls *LocalSwitchboard) removeStaleRule(role string, st labels.Stack) {
-	ls.mu.Lock()
-	rr, ok := ls.forwarders[role]
-	var members []*fwdRuntime
-	if ok {
-		members = append(members, rr.fwds...)
-	}
-	ls.mu.Unlock()
-	for _, rt := range members {
+	for _, rt := range ls.roleForwarders(role, false) {
 		rt.f.RemoveRule(st)
 	}
 }
 
-// weightedForwarders builds the hierarchical weights: site-level split
-// weight × published forwarder weight.
-func (ls *LocalSwitchboard) weightedForwarders(f *forwarder.Forwarder, st labels.Stack, infos map[bus.Topic][]InstanceInfo, role string, sites map[simnet.SiteID]float64) []forwarder.WeightedHop {
+// weightedForwarders builds the hierarchical weights of the forwarders
+// on the far side of this site's stage-z hop (see stagePeers): site-level
+// split weight × published forwarder weight.
+func (ls *LocalSwitchboard) weightedForwarders(f *forwarder.Forwarder, st labels.Stack, infos map[bus.Topic][]InstanceInfo, rec *RouteRecord, z int, forward bool) []forwarder.WeightedHop {
+	role, sites := ls.stagePeers(rec, z, forward)
 	var out []forwarder.WeightedHop
 	for site, siteWeight := range sites {
 		list := infos[forwardersTopic(st, role, site)]
@@ -719,9 +733,7 @@ func (ls *LocalSwitchboard) hopFor(f *forwarder.Forwarder, nh forwarder.NextHop)
 // RegisterEdgeHop makes the edge instance a known source at the edge
 // forwarder (so its packets are attributed correctly).
 func (ls *LocalSwitchboard) RegisterEdgeHop() error {
-	ls.mu.Lock()
-	edgeInst := ls.edgeInst
-	ls.mu.Unlock()
+	edgeInst := ls.Edge()
 	if edgeInst == nil {
 		return fmt.Errorf("controller: no edge instance at %s", ls.site)
 	}
@@ -749,28 +761,18 @@ func (ls *LocalSwitchboard) rulesReady(rec *RouteRecord) bool {
 	if !current {
 		return false
 	}
+	// info is the first member's rule; every member must have one.
 	info := func(role string) (local, next, prev int, ok bool) {
-		ls.mu.Lock()
-		rr, exists := ls.forwarders[role]
-		var members []*fwdRuntime
-		if exists {
-			members = append(members, rr.fwds...)
+		members := ls.roleForwarders(role, false)
+		for _, rt := range members {
+			if _, _, _, has := rt.f.RuleInfo(st); !has {
+				return 0, 0, 0, false
+			}
 		}
-		ls.mu.Unlock()
 		if len(members) == 0 {
 			return 0, 0, 0, false
 		}
-		// Every member must have the rule.
-		for i, rt := range members {
-			l, n, p, o := rt.f.RuleInfo(st)
-			if !o {
-				return 0, 0, 0, false
-			}
-			if i == 0 {
-				local, next, prev, ok = l, n, p, o
-			}
-		}
-		return local, next, prev, ok
+		return members[0].f.RuleInfo(st)
 	}
 	if rec.IsIngress(ls.site) || rec.EgressSite == ls.site {
 		local, next, prev, ok := info(edgeRole)
@@ -803,9 +805,7 @@ func (ls *LocalSwitchboard) Close() {
 		return
 	}
 	ls.closed = true
-	if ls.hbStop != nil {
-		close(ls.hbStop)
-	}
+	close(ls.stop)
 	subs := []*bus.Subscription{ls.routesSub}
 	for _, cs := range ls.chains {
 		subs = append(subs, cs.subs...)
@@ -818,9 +818,7 @@ func (ls *LocalSwitchboard) Close() {
 	ls.mu.Unlock()
 
 	for _, s := range subs {
-		if s != nil {
-			s.Cancel()
-		}
+		s.Cancel()
 	}
 	for _, rt := range fwds {
 		rt.stop()

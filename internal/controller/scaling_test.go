@@ -45,10 +45,7 @@ func TestScaleForwardersSpreadsNewFlows(t *testing.T) {
 	if err := lsB.ScaleForwarders("fw", 3); err != nil {
 		t.Fatalf("ScaleForwarders: %v", err)
 	}
-	members, err := lsB.roleForwarders("fw")
-	if err != nil {
-		t.Fatal(err)
-	}
+	members := lsB.roleForwarders("fw", false)
 	if len(members) != 3 {
 		t.Fatalf("members = %d, want 3", len(members))
 	}

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"switchboard/internal/bus"
@@ -311,6 +312,35 @@ func (v *VNFController) FailSite(site simnet.SiteID) {
 	v.mu.Unlock()
 	for _, st := range stacks {
 		_ = v.bus.Publish(site, instancesTopic(st, v.name, site), []InstanceInfo{}, 16)
+	}
+}
+
+// ReleaseChain is a chain's teardown at this VNF: the instances
+// dedicated to the label stack are stopped and detached at every site,
+// and the stack is forgotten wherever it was served. Shared instances
+// keep serving the other chains.
+func (v *VNFController) ReleaseChain(st labels.Stack) {
+	var retired []*managedInstance
+	v.mu.Lock()
+	for site, list := range v.instances {
+		kept := list[:0]
+		for _, mi := range list {
+			if mi.dedicated && mi.st == st {
+				retired = append(retired, mi)
+			} else {
+				kept = append(kept, mi)
+			}
+		}
+		clear(list[len(kept):])
+		v.instances[site] = kept
+	}
+	for site, stacks := range v.served {
+		v.served[site] = slices.DeleteFunc(stacks, func(s labels.Stack) bool { return s == st })
+	}
+	v.mu.Unlock()
+	for _, mi := range retired {
+		mi.stop()
+		v.net.Detach(mi.inst.Addr())
 	}
 }
 

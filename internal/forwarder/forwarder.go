@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -597,6 +598,30 @@ func (f *Forwarder) RuleInfo(st labels.Stack) (local, next, prev int, ok bool) {
 		return len(p.slots)
 	}
 	return size(r.local), size(r.next), size(r.prev), true
+}
+
+// RuleAddrs reports the distinct addresses each picker of the installed
+// rule for a label stack can choose: local elements, next hops, and
+// previous hops. ok is false when no rule is installed.
+func (f *Forwarder) RuleAddrs(st labels.Stack) (local, next, prev []simnet.Addr, ok bool) {
+	s := f.snap.Load()
+	r := s.rules[st]
+	if r == nil {
+		return nil, nil, nil, false
+	}
+	addrs := func(p *picker) []simnet.Addr {
+		if p == nil {
+			return nil
+		}
+		var out []simnet.Addr
+		for _, h := range p.slots {
+			if a := s.hops[h].Addr; !slices.Contains(out, a) {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	return addrs(r.local), addrs(r.next), addrs(r.prev), true
 }
 
 // RuleNextHopCount returns the number of distinct next hops in the

@@ -230,10 +230,9 @@ func (n *Network) Attach(addr Addr, queue int) (*Endpoint, error) {
 // Detach removes an endpoint and closes its inbox.
 func (n *Network) Detach(addr Addr) {
 	n.mu.Lock()
-	ep := n.endpoints[addr]
-	delete(n.endpoints, addr)
-	n.mu.Unlock()
-	if ep != nil {
+	defer n.mu.Unlock()
+	if ep := n.endpoints[addr]; ep != nil {
+		delete(n.endpoints, addr)
 		ep.once.Do(func() { close(ep.inbox) })
 	}
 }
@@ -332,12 +331,13 @@ func (n *Network) send(m Message) error {
 	}
 	dst, ok := n.endpoints[m.To]
 	profile := n.profiles[[2]SiteID{m.From.Site, m.To.Site}]
-	n.mu.RUnlock()
 	if !ok {
+		n.mu.RUnlock()
 		return fmt.Errorf("%w: %v", ErrNoEndpoint, m.To)
 	}
 	n.stats.msgsSent.Add(1)
 	if n.faults.drops(m.From.Site, m.To.Site) {
+		n.mu.RUnlock()
 		n.stats.dropsFault.Add(1)
 		return nil // silently swallowed by the injected fault
 	}
@@ -345,9 +345,13 @@ func (n *Network) send(m Message) error {
 	sameSite := m.From.Site == m.To.Site
 	if sameSite || (profile.Delay == 0 && profile.Bandwidth == 0 && profile.Loss == 0 &&
 		profile.Jitter == 0 && profile.Reorder == 0) {
-		// Immediate local delivery.
-		return deliver(dst, m)
+		// Immediate local delivery, under the read lock: Detach and Close
+		// close inboxes under the write lock, so no send hits a closed one.
+		err := deliver(dst, m)
+		n.mu.RUnlock()
+		return err
 	}
+	n.mu.RUnlock()
 	if profile.Loss > 0 {
 		if b, ok := m.Payload.(*packet.Batch); ok {
 			// Loss is per batch entry, as on a real wire: each packet of
@@ -474,13 +478,11 @@ func (p *pipe) run() {
 		if wait := time.Until(item.arrival); wait > 0 {
 			time.Sleep(wait)
 		}
-		p.net.mu.RLock()
-		dst, ok := p.net.endpoints[item.m.To]
-		closed := p.net.closed
-		p.net.mu.RUnlock()
-		if ok && !closed {
+		p.net.mu.RLock() // see send: inboxes close under the write lock
+		if dst, ok := p.net.endpoints[item.m.To]; ok && !p.net.closed {
 			_ = deliver(dst, item.m) // drop on full queue, like a NIC ring
 		}
+		p.net.mu.RUnlock()
 	}
 }
 

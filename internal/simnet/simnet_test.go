@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -141,6 +142,35 @@ func TestDetachClosesInbox(t *testing.T) {
 	b := attach(t, n, "s1", "b")
 	if err := b.Send(a.Addr(), 1, 0); err == nil {
 		t.Error("send to detached endpoint succeeded")
+	}
+}
+
+// TestDetachAndCloseRaceSenders detaches endpoints and closes the
+// network while senders keep sending to them, locally and across a
+// delayed path: a send racing the inbox close must fail or drop, never
+// panic or race.
+func TestDetachAndCloseRaceSenders(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		n := New(1)
+		n.SetPath("s1", "s2", PathProfile{Delay: time.Microsecond})
+		src := attach(t, n, "s1", "src")
+		var targets []*Endpoint
+		for _, site := range []SiteID{"s1", "s2"} {
+			targets = append(targets, attach(t, n, site, "dst"))
+		}
+		var wg sync.WaitGroup
+		for _, dst := range targets {
+			wg.Add(1)
+			go func(to Addr) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					_ = src.Send(to, i, 0)
+				}
+			}(dst.Addr())
+		}
+		n.Detach(targets[0].Addr())
+		n.Close()
+		wg.Wait()
 	}
 }
 
