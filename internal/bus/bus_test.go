@@ -41,17 +41,43 @@ func recvOrTimeout(t *testing.T, sub *Subscription) Publication {
 	}
 }
 
+// TestTopicPublisherSite pins MakeTopic's layout and PublisherSite's
+// parse, edge cases included (the results of the earlier strings.Split
+// implementation), and that PublisherSite allocates nothing.
 func TestTopicPublisherSite(t *testing.T) {
 	topic := MakeTopic("c1", "e3", "vnf_O", "B", "forwarders")
 	if string(topic) != "/c1/e3/vnf_O/site_B/forwarders" {
 		t.Errorf("topic = %q", topic)
 	}
-	site, ok := topic.PublisherSite()
-	if !ok || site != "B" {
-		t.Errorf("PublisherSite() = %v, %v", site, ok)
+	for _, c := range []struct {
+		topic Topic
+		site  simnet.SiteID
+		ok    bool
+	}{
+		{topic, "B", true},
+		{"/routes/all/global/site_A/records", "A", true},
+		{"site_A", "A", true},
+		{"site_A/x", "A", true},
+		{"/x/site_A", "A", true},
+		{"/x/site_A/", "A", true},
+		{"/site_/x", "", false},
+		{"/site_/site_C/x", "C", true},
+		{"/site_A/site_B", "A", true},
+		{"/xsite_A/y", "", false},
+		{"/site_site_A/y", "site_A", true},
+		{"/no/site/here", "", false},
+		{"", "", false},
+		{"/", "", false},
+		{"//", "", false},
+		{"site_", "", false},
+	} {
+		site, ok := c.topic.PublisherSite()
+		if site != c.site || ok != c.ok {
+			t.Errorf("%q.PublisherSite() = %q, %v; want %q, %v", c.topic, site, ok, c.site, c.ok)
+		}
 	}
-	if _, ok := Topic("/no/site/here").PublisherSite(); ok {
-		t.Error("PublisherSite on siteless topic returned true")
+	if n := testing.AllocsPerRun(100, func() { topic.PublisherSite() }); n != 0 {
+		t.Errorf("PublisherSite: %v allocs, want 0", n)
 	}
 }
 

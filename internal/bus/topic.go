@@ -25,12 +25,21 @@ func MakeTopic(chain, egress, vnf string, site simnet.SiteID, kind string) Topic
 	return Topic(fmt.Sprintf("/%s/%s/%s/site_%s/%s", chain, egress, vnf, site, kind))
 }
 
-// PublisherSite extracts the publisher's site from the topic's
-// "site_<id>" segment. It returns false if no site segment exists.
+// PublisherSite extracts the publisher's site from the topic's first
+// non-empty "site_<id>" segment. It returns false if no such segment
+// exists. It allocates nothing: proxies call it on every publication and
+// on every resync pass over their subscriptions.
 func (t Topic) PublisherSite() (simnet.SiteID, bool) {
-	for _, seg := range strings.Split(string(t), "/") {
-		if rest, ok := strings.CutPrefix(seg, "site_"); ok && rest != "" {
-			return simnet.SiteID(rest), true
+	rest := string(t)
+	for rest != "" {
+		seg := rest
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			seg, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		if site, ok := strings.CutPrefix(seg, "site_"); ok && site != "" {
+			return simnet.SiteID(site), true
 		}
 	}
 	return "", false

@@ -225,7 +225,7 @@ func (g *GlobalSwitchboard) admitBatch(batch []pendingAdmit) []admitResult {
 			solo(c)
 			continue
 		}
-		rec := g.recordFromSplit(c.spec, split, siteOf, c.chainLabel, c.egLabel, 0)
+		rec := g.recordFromSplit(c.spec, split, siteOf, c.chainLabel, c.egLabel)
 		cr := &chainRecord{
 			spec:          c.spec,
 			rec:           rec,
@@ -233,7 +233,7 @@ func (g *GlobalSwitchboard) admitBatch(batch []pendingAdmit) []admitResult {
 			allocated:     make(map[string]map[simnet.SiteID]bool),
 		}
 		g.mu.Lock()
-		g.chains[c.spec.ID] = cr
+		g.storeChainLocked(c.spec.ID, cr)
 		g.mu.Unlock()
 		results[c.idx] = admitResult{rec: rec}
 		installed = append(installed, created{idx: c.idx, cr: cr})
@@ -245,7 +245,7 @@ func (g *GlobalSwitchboard) admitBatch(batch []pendingAdmit) []admitResult {
 
 	// One snapshot publish covers every jointly admitted chain, then
 	// instances are allocated per chain as usual.
-	if err := g.publishRoute(nil); err != nil {
+	if err := g.publishRoute(); err != nil {
 		for _, in := range installed {
 			results[in.idx] = admitResult{err: err}
 		}

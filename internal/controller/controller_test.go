@@ -15,14 +15,14 @@ import (
 // testbed wires a simulated WAN, the message bus, Global Switchboard, and
 // Local Switchboards at each site.
 type testbed struct {
-	t      *testing.T
+	t      testing.TB
 	net    *simnet.Network
 	bus    *bus.Bus
 	g      *GlobalSwitchboard
 	locals map[simnet.SiteID]*LocalSwitchboard
 }
 
-func newTestbed(t *testing.T, delay time.Duration, sites ...simnet.SiteID) *testbed {
+func newTestbed(t testing.TB, delay time.Duration, sites ...simnet.SiteID) *testbed {
 	t.Helper()
 	net := simnet.New(1)
 	for i, a := range sites {

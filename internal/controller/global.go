@@ -1,8 +1,10 @@
 package controller
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,6 +42,13 @@ type GlobalSwitchboard struct {
 	txSeq      int
 	tl         *Timeline
 	rec        *obs.Recorder
+	// table is the route feed's content: every chain's current record,
+	// sorted by ChainID. It changes only with chains (storeChainLocked)
+	// and copy-on-write: a published table is never modified, so an
+	// unchanged record stays the same pointer from one table to the next.
+	table []*RouteRecord
+	// incarnations numbers chain creations (RouteRecord.Incarnation).
+	incarnations uint64
 	// failedSites is the failure detector's current verdict per site.
 	failedSites map[simnet.SiteID]bool
 	// UseLP switches chain routing to the LP optimizer (SB-LP); the
@@ -63,6 +72,9 @@ type GlobalSwitchboard struct {
 	reroutes       atomic.Uint64
 	siteFailures   atomic.Uint64
 	routePublishes atomic.Uint64
+	// pubMu is held from reading the route table through its bus
+	// publication, so the feed's revisions follow the table's order.
+	pubMu sync.Mutex
 	// opParent is the span ID of the in-flight failure-handling
 	// operation; nested RecomputeChain spans parent to it. Best-effort:
 	// concurrent failovers overwrite each other's linkage (the spans
@@ -392,13 +404,13 @@ func (g *GlobalSwitchboard) OptimizeAll() error {
 	for _, spec := range specs {
 		cr := recs[spec.ID]
 		split := routing.Splits[model.ChainID(spec.ID)]
-		rec := g.recordFromSplit(spec, split, siteOf, cr.rec.ChainLabel, cr.rec.EgressLabel, cr.rec.Version+1)
-		rec.ExtraIngress = cr.rec.ExtraIngress
+		rec := g.recordFromSplit(spec, split, siteOf, cr.rec.ChainLabel, cr.rec.EgressLabel)
 		g.mu.Lock()
-		cr.rec = rec
+		rec.ExtraIngress = cr.rec.ExtraIngress
 		cr.committedLoad = newLoads[spec.ID]
+		g.updateChainLocked(spec.ID, cr, rec)
 		g.mu.Unlock()
-		if err := g.publishRoute(rec); err != nil {
+		if err := g.publishRoute(); err != nil {
 			return err
 		}
 		if err := g.allocateInstances(cr); err != nil {
@@ -461,7 +473,7 @@ func (g *GlobalSwitchboard) createOne(spec Spec) (rec *RouteRecord, err error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, load, err := g.computeAndCommit(spec, chainLabel, egLabel, 0, sp.ID())
+	rec, load, err := g.computeAndCommit(spec, chainLabel, egLabel, sp.ID())
 	if err != nil {
 		return nil, err
 	}
@@ -476,11 +488,11 @@ func (g *GlobalSwitchboard) createOne(spec Spec) (rec *RouteRecord, err error) {
 		allocated:     make(map[string]map[simnet.SiteID]bool),
 	}
 	g.mu.Lock()
-	g.chains[spec.ID] = cr
+	g.storeChainLocked(spec.ID, cr)
 	g.mu.Unlock()
 
 	// Step 3: propagate routes.
-	if err := g.publishRoute(rec); err != nil {
+	if err := g.publishRoute(); err != nil {
 		return nil, err
 	}
 	tl.Record("route published")
@@ -504,9 +516,9 @@ func (g *GlobalSwitchboard) allocLabel() (uint32, error) {
 
 // computeAndCommit runs TE and the two-phase commit, recomputing with a
 // VNF's site excluded whenever that VNF controller rejects the proposed
-// reservation. version is carried into the resulting record; parent
-// links the per-attempt path-compute spans to the requesting operation.
-func (g *GlobalSwitchboard) computeAndCommit(spec Spec, chainLabel, egLabel uint32, version int, parent uint64) (*RouteRecord, map[string]map[simnet.SiteID]float64, error) {
+// reservation. parent links the per-attempt path-compute spans to the
+// requesting operation.
+func (g *GlobalSwitchboard) computeAndCommit(spec Spec, chainLabel, egLabel uint32, parent uint64) (*RouteRecord, map[string]map[simnet.SiteID]float64, error) {
 	exclude := make(map[string]map[simnet.SiteID]bool)
 	for attempt := 0; attempt < 5; attempt++ {
 		nw, nodeOf, err := g.buildModel(spec)
@@ -545,7 +557,7 @@ func (g *GlobalSwitchboard) computeAndCommit(spec Spec, chainLabel, egLabel uint
 			return nil, nil, fmt.Errorf("%w: chain %s", ErrNoRoute, spec.ID)
 		}
 
-		rec := g.recordFromSplit(spec, split, siteOf, chainLabel, egLabel, version)
+		rec := g.recordFromSplit(spec, split, siteOf, chainLabel, egLabel)
 		load := vnfLoads(nw, spec, split, siteOf)
 		if g.NoAdmissionControl {
 			// No 2PC, but still record the load so the next chain's
@@ -618,8 +630,10 @@ func (g *GlobalSwitchboard) routeChain(nw *model.Network) (*model.Routing, error
 	return te.SolveDP(nw, te.DPOptions{}), nil
 }
 
-// recordFromSplit converts a model split to a RouteRecord.
-func (g *GlobalSwitchboard) recordFromSplit(spec Spec, split *model.ChainSplit, siteOf map[model.NodeID]simnet.SiteID, chainLabel, egLabel uint32, version int) *RouteRecord {
+// recordFromSplit converts a model split to a RouteRecord. Its Version
+// and Incarnation are set when it is stored (storeChainLocked,
+// updateChainLocked).
+func (g *GlobalSwitchboard) recordFromSplit(spec Spec, split *model.ChainSplit, siteOf map[model.NodeID]simnet.SiteID, chainLabel, egLabel uint32) *RouteRecord {
 	rec := &RouteRecord{
 		Chain:       spec.ID,
 		ChainLabel:  chainLabel,
@@ -627,7 +641,6 @@ func (g *GlobalSwitchboard) recordFromSplit(spec Spec, split *model.ChainSplit, 
 		IngressSite: spec.IngressSite,
 		EgressSite:  spec.EgressSite,
 		VNFs:        append([]string(nil), spec.VNFs...),
-		Version:     version,
 	}
 	total := split.RoutedFraction()
 	if total <= 0 {
@@ -741,18 +754,66 @@ func (g *GlobalSwitchboard) nextTx(id ChainID) string {
 
 // publishRoute publishes the full route table. The route feed is state
 // (the bus retains the last value per topic for late subscribers), so
-// each update carries a complete snapshot — a single retained message
-// always reconstructs every chain's route at any site.
-func (g *GlobalSwitchboard) publishRoute(_ *RouteRecord) error {
+// each update carries the complete table — a single retained message
+// always reconstructs every chain's route at any site, and a chain's
+// absence from it is its deletion. The table is shared, not copied:
+// storeChainLocked never modifies a table once it is set.
+func (g *GlobalSwitchboard) publishRoute() error {
+	g.pubMu.Lock()
+	defer g.pubMu.Unlock()
 	g.mu.Lock()
-	snapshot := make([]*RouteRecord, 0, len(g.chains))
-	for _, cr := range g.chains {
-		snapshot = append(snapshot, cr.rec)
-	}
+	table := g.table
 	g.mu.Unlock()
-	sort.Slice(snapshot, func(i, j int) bool { return snapshot[i].Chain < snapshot[j].Chain })
 	g.routePublishes.Add(1)
-	return g.bus.Publish(g.site, g.RoutesTopic(), snapshot, 256*len(snapshot))
+	return g.bus.Publish(g.site, g.RoutesTopic(), table, 256*len(table))
+}
+
+// storeChainLocked makes cr chain id's state (nil deletes the chain) and
+// updates the route table to match, so the table always holds exactly
+// the chains in g.chains. A chainRecord new to g.chains gets the next
+// incarnation. The new table is a fresh slice: readers of the old one,
+// published or not, never see it change. Caller holds g.mu.
+func (g *GlobalSwitchboard) storeChainLocked(id ChainID, cr *chainRecord) {
+	i, found := slices.BinarySearchFunc(g.table, id, func(r *RouteRecord, id ChainID) int {
+		return cmp.Compare(r.Chain, id)
+	})
+	if cr != nil && g.chains[id] != cr {
+		g.incarnations++ // a new chain under this ID
+		cr.rec.Incarnation = g.incarnations
+	}
+	var table []*RouteRecord
+	switch {
+	case cr == nil && !found:
+		return
+	case cr == nil:
+		delete(g.chains, id)
+		table = make([]*RouteRecord, 0, len(g.table)-1)
+		table = append(append(table, g.table[:i]...), g.table[i+1:]...)
+	case found:
+		g.chains[id] = cr
+		table = slices.Clone(g.table)
+		table[i] = cr.rec
+	default:
+		g.chains[id] = cr
+		table = make([]*RouteRecord, 0, len(g.table)+1)
+		table = append(append(append(table, g.table[:i]...), cr.rec), g.table[i:]...)
+	}
+	g.table = table
+}
+
+// updateChainLocked makes rec, not yet published, the next version of
+// chain cr's record. The version is taken here, under g.mu, so updates
+// racing on one chain (a recompute, an OptimizeAll, an AddEdgeSite) get
+// strictly increasing versions in the order they reach the table. The
+// table changes only while cr is still the chain's state: a chain that
+// DeleteChain removed meanwhile is never put back. Caller holds g.mu.
+func (g *GlobalSwitchboard) updateChainLocked(id ChainID, cr *chainRecord, rec *RouteRecord) {
+	rec.Version = cr.rec.Version + 1
+	rec.Incarnation = cr.rec.Incarnation
+	cr.rec = rec
+	if g.chains[id] == cr {
+		g.storeChainLocked(id, cr)
+	}
 }
 
 // ensureEdgeAt makes sure the site has an edge instance, registering the
@@ -859,7 +920,7 @@ func (g *GlobalSwitchboard) RecomputeChain(id ChainID, newForward, newReverse fl
 			v.ReleaseLoad(perSite)
 		}
 	}
-	rec, load, err := g.computeAndCommit(spec, cr.rec.ChainLabel, cr.rec.EgressLabel, cr.rec.Version+1, sp.ID())
+	rec, load, err := g.computeAndCommit(spec, cr.rec.ChainLabel, cr.rec.EgressLabel, sp.ID())
 	if err != nil {
 		sp.Fail(err)
 		// Restore the previous reservations on failure.
@@ -873,18 +934,18 @@ func (g *GlobalSwitchboard) RecomputeChain(id ChainID, newForward, newReverse fl
 		}
 		return nil, err
 	}
-	rec.ExtraIngress = cr.rec.ExtraIngress
 	rec.SpanID = sp.ID()
 	tl.Record("new route committed (2PC)")
 	sp.Event("new route committed (2PC)")
 
 	g.mu.Lock()
+	rec.ExtraIngress = cr.rec.ExtraIngress // an AddEdgeSite may have run meanwhile
 	cr.spec = spec
-	cr.rec = rec
 	cr.committedLoad = load
+	g.updateChainLocked(id, cr, rec)
 	g.mu.Unlock()
 
-	if err := g.publishRoute(rec); err != nil {
+	if err := g.publishRoute(); err != nil {
 		sp.Fail(err)
 		return nil, err
 	}
@@ -902,8 +963,8 @@ func (g *GlobalSwitchboard) RecomputeChain(id ChainID, newForward, newReverse fl
 
 // DeleteChain tears a chain down: VNF reservations are released, the
 // chain's dedicated VNF instances are stopped, the chain label returns
-// to the pool, and a tombstone record (no splits) is published so Local
-// Switchboards remove their rules and subscriptions. In-flight
+// to the pool, and the route table without the chain is published, so
+// Local Switchboards remove its rules and subscriptions. In-flight
 // connections drop, as when a customer deactivates a service.
 func (g *GlobalSwitchboard) DeleteChain(id ChainID) error {
 	g.mu.Lock()
@@ -912,11 +973,7 @@ func (g *GlobalSwitchboard) DeleteChain(id ChainID) error {
 		g.mu.Unlock()
 		return fmt.Errorf("controller: unknown chain %s", id)
 	}
-	delete(g.chains, id)
-	tombstone := *cr.rec
-	tombstone.Splits = nil
-	tombstone.Version = cr.rec.Version + 1
-	tombstone.Deleted = true
+	g.storeChainLocked(id, nil)
 	tl := g.tl
 	g.mu.Unlock()
 
@@ -936,12 +993,7 @@ func (g *GlobalSwitchboard) DeleteChain(id ChainID) error {
 	g.mu.Lock()
 	g.alloc.Release(cr.rec.ChainLabel)
 	g.mu.Unlock()
-	// The snapshot no longer contains the chain; send the tombstone
-	// explicitly so sites clean up.
-	if err := g.bus.Publish(g.site, g.RoutesTopic(), []*RouteRecord{&tombstone}, 256); err != nil {
-		return err
-	}
-	if err := g.publishRoute(nil); err != nil {
+	if err := g.publishRoute(); err != nil {
 		return err
 	}
 	tl.Record(fmt.Sprintf("chain %s deleted", id))
@@ -1036,12 +1088,11 @@ func (g *GlobalSwitchboard) AddEdgeSite(id ChainID, site simnet.SiteID) (*RouteR
 	}
 	updated := *rec
 	updated.ExtraIngress = append(append([]simnet.SiteID(nil), rec.ExtraIngress...), site)
-	updated.Version = rec.Version + 1
-	cr.rec = &updated
+	g.updateChainLocked(id, cr, &updated)
 	g.mu.Unlock()
 	tl.Record("route extended with new edge site")
 
-	if err := g.publishRoute(&updated); err != nil {
+	if err := g.publishRoute(); err != nil {
 		return nil, err
 	}
 	tl.Record("extended route published")

@@ -53,8 +53,11 @@ type LocalSwitchboard struct {
 	dirty map[ChainID]bool // chains whose dependency lists changed
 	wake  chan struct{}    // capacity 1: a pending wake-up
 	stop  chan struct{}    // closed by Close; also stops heartbeats
+	// applied is the last route table applied (sorted by ChainID, as the
+	// Global Switchboard publishes it); only the apply loop touches it.
+	applied []*RouteRecord
 
-	// routesApplied counts route records accepted (new or newer version).
+	// routesApplied counts route records applied (new or changed chains).
 	routesApplied atomic.Uint64
 
 	// runnerBeat, when set (SetRunnerBeat), is installed as the Beat
@@ -65,7 +68,7 @@ type LocalSwitchboard struct {
 // RegisterMetrics publishes the Local Switchboard's counters into a
 // metrics registry under "ls.<site>.*":
 //
-//	ls.<site>.routes_applied route records accepted (new or newer version)
+//	ls.<site>.routes_applied route records applied (new or changed chains)
 //
 // It also pre-creates ls.rule_install_ms, the histogram the apply-route
 // spans fold into (shared across sites — create-or-get returns the same
@@ -144,12 +147,8 @@ func NewLocalSwitchboard(net *simnet.Network, b *bus.Bus, site, gsbSite simnet.S
 		stop:       make(chan struct{}),
 	}
 	sub, err := b.SubscribeFunc(site, routesTopic(gsbSite), func(pub bus.Publication) {
-		if recs, ok := pub.Payload.([]*RouteRecord); ok {
-			ls.enqueue(func() {
-				for _, rec := range recs {
-					ls.onRoute(rec)
-				}
-			})
+		if table, ok := pub.Payload.([]*RouteRecord); ok {
+			ls.enqueue(func() { ls.applyTable(table) })
 		}
 	})
 	if err != nil {
@@ -399,16 +398,50 @@ func (ls *LocalSwitchboard) Edge() *edge.Instance {
 	return ls.edgeInst
 }
 
-// onRoute processes a (new or updated) chain route record: determines
+// applyTable brings this site in line with a route table by diffing it
+// against the last table applied: a merge walk over the two sorted
+// tables, in which an unchanged record is the same pointer. Chains absent
+// from the new table are removed first; new and changed records then go
+// through onRoute. Removing first means a stack freed by one chain and
+// taken by another in the same table is never installed and then wiped.
+// A record of another incarnation than the chain's previous one (the
+// chain was deleted and created again) is a removal followed by a new
+// chain; any other changed record is an update of the same chain.
+func (ls *LocalSwitchboard) applyTable(table []*RouteRecord) {
+	old := ls.applied
+	ls.applied = table
+	var changed []*RouteRecord
+	i, j := 0, 0
+	for i < len(old) || j < len(table) {
+		switch {
+		case i < len(old) && j < len(table) && old[i] == table[j]:
+			i++ // unchanged: no need to read the record
+			j++
+		case j == len(table) || i < len(old) && old[i].Chain < table[j].Chain:
+			ls.removeChain(old[i])
+			i++
+		case i == len(old) || table[j].Chain < old[i].Chain:
+			changed = append(changed, table[j])
+			j++
+		default:
+			if old[i].Incarnation != table[j].Incarnation {
+				ls.removeChain(old[i])
+			}
+			changed = append(changed, table[j])
+			i++
+			j++
+		}
+	}
+	for _, rec := range changed {
+		ls.onRoute(rec)
+	}
+}
+
+// onRoute processes a new or updated chain route record: determines
 // this site's roles, publishes its forwarders for the VNFs it hosts,
 // subscribes to the topics its rules depend on, and (re)installs rules.
 func (ls *LocalSwitchboard) onRoute(rec *RouteRecord) {
 	st := labels.Stack{Chain: rec.ChainLabel, Egress: rec.EgressLabel}
-	if rec.Deleted {
-		ls.onChainDeleted(rec, st)
-		return
-	}
-
 	ls.mu.Lock()
 	if ls.closed {
 		ls.mu.Unlock()
@@ -419,11 +452,6 @@ func (ls *LocalSwitchboard) onRoute(rec *RouteRecord) {
 		cs = &chainState{infos: make(map[bus.Topic][]InstanceInfo), pending: make(map[bus.Topic][]InstanceInfo)}
 		ls.chains[rec.Chain] = cs
 	}
-	if cs.rec != nil && cs.rec.Version >= rec.Version {
-		// Already processed (snapshots repeat unchanged records).
-		ls.mu.Unlock()
-		return
-	}
 	ls.routesApplied.Add(1)
 	cs.rec = rec
 	tl := ls.tl
@@ -433,8 +461,8 @@ func (ls *LocalSwitchboard) onRoute(rec *RouteRecord) {
 	// The apply-route span covers everything this site does with the
 	// record: publishing its forwarders, wiring subscriptions, and
 	// installing rules. The record's SpanID parents it back to the GS
-	// operation that produced the route, across the bus. The version
-	// dedupe above guarantees snapshot republications don't re-span.
+	// operation that produced the route, across the bus. applyTable hands
+	// over only new or changed records, so republished ones don't re-span.
 	sp := ls.recorder().Start("ls."+string(ls.site)+".apply_route", "ls.rule_install_ms", rec.SpanID)
 	sp.Event(fmt.Sprintf("route v%d received for %s", rec.Version, rec.Chain))
 	defer sp.End()
@@ -460,9 +488,10 @@ func (ls *LocalSwitchboard) onRoute(rec *RouteRecord) {
 	sp.Event("rules installed")
 }
 
-// onChainDeleted removes the chain's rules from every forwarder at this
+// removeChain removes the chain's rules from every forwarder at this
 // site, cancels its subscriptions, and drops its state.
-func (ls *LocalSwitchboard) onChainDeleted(rec *RouteRecord, st labels.Stack) {
+func (ls *LocalSwitchboard) removeChain(rec *RouteRecord) {
+	st := labels.Stack{Chain: rec.ChainLabel, Egress: rec.EgressLabel}
 	ls.mu.Lock()
 	cs, ok := ls.chains[rec.Chain]
 	if ok {
@@ -752,11 +781,12 @@ func (ls *LocalSwitchboard) RegisterEdgeHop() error {
 func (ls *LocalSwitchboard) rulesReady(rec *RouteRecord) bool {
 	st := labels.Stack{Chain: rec.ChainLabel, Egress: rec.EgressLabel}
 	// The chain's labels are stable across route versions, so a rule
-	// alone could be a stale leftover of the previous version; require
-	// that this record's version has been processed here first.
+	// alone could be a stale leftover of the previous version (or of a
+	// deleted chain that had the same ID); require that this record's
+	// incarnation and version have been processed here first.
 	ls.mu.Lock()
 	cs, ok := ls.chains[rec.Chain]
-	current := ok && cs.rec != nil && cs.rec.Version >= rec.Version
+	current := ok && cs.rec != nil && cs.rec.Incarnation == rec.Incarnation && cs.rec.Version >= rec.Version
 	ls.mu.Unlock()
 	if !current {
 		return false

@@ -77,10 +77,14 @@ type RouteRecord struct {
 	ExtraIngress []simnet.SiteID
 	VNFs         []string
 	Splits       []SiteSplit
-	Version      int
-	// Deleted marks a tombstone: Local Switchboards remove their rules
-	// and subscriptions for the chain.
-	Deleted bool
+	// Version orders one chain's records: an update is one higher than
+	// the record it replaces (set under the Global Switchboard's lock).
+	Version int
+	// Incarnation tells apart chains that reuse an ID: each creation
+	// takes the next number of a Global Switchboard-wide sequence and
+	// updates keep it, so a Local Switchboard that sees it change
+	// removes the old chain before applying the new one.
+	Incarnation uint64
 	// SpanID links the record to the Global Switchboard control-plane
 	// span (obs package) that produced it, so the rule-install spans the
 	// Local Switchboards record on receipt parent back to the originating

@@ -97,6 +97,51 @@ func BenchmarkFig7Forwarder(b *testing.B) {
 	}
 }
 
+// BenchmarkForwarderRuleWrite measures the control-plane write side of
+// the copy-on-write rule snapshot at 1,000 installed rules: a rule
+// install (one clone of the snapshot), a removal of a rule the forwarder
+// holds (one clone), and a removal of a stack it does not hold (no clone).
+func BenchmarkForwarderRuleWrite(b *testing.B) {
+	const rules = 1000
+	setup := func() (*Forwarder, RuleSpec) {
+		f := New("bench", ModeAffinity, 16)
+		next := f.AddHop(NextHop{Kind: KindForwarder, Addr: addr("B", "peer")})
+		spec := RuleSpec{Chain: "bench", Next: []WeightedHop{{next, 1}}}
+		for c := uint32(1); c <= rules; c++ {
+			f.InstallRule(labels.Stack{Chain: c, Egress: 1}, spec)
+		}
+		return f, spec
+	}
+	b.Run("install", func(b *testing.B) {
+		f, spec := setup()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.InstallRule(labels.Stack{Chain: uint32(1 + i%rules), Egress: 1}, spec)
+		}
+	})
+	b.Run("remove-present", func(b *testing.B) {
+		f, spec := setup()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st := labels.Stack{Chain: uint32(1 + i%rules), Egress: 1}
+			f.RemoveRule(st)
+			b.StopTimer()
+			f.InstallRule(st, spec)
+			b.StartTimer()
+		}
+	})
+	b.Run("remove-absent", func(b *testing.B) {
+		f, _ := setup()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.RemoveRule(labels.Stack{Chain: uint32(1 + i%rules), Egress: 2})
+		}
+	})
+}
+
 // Batched fast path: ProcessBatch at the swept burst sizes, against the
 // same rule set as Fig7. batch=1 goes through the Process wrapper, so the
 // delta between the sub-benchmarks is the burst amortization itself

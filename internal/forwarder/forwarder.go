@@ -338,14 +338,13 @@ func (r *HopRegistry) IDFor(a simnet.Addr) flowtable.Hop {
 // snapshot is the forwarder's routing state as one immutable unit: the
 // rule table, the hop registry, the bridge target, and the error-path
 // chain-drop attribution map. The packet path reaches it with a single
-// atomic load and never takes a lock (RCU-style reads); writers clone
-// the current snapshot under the forwarder's writer mutex, mutate the
-// copy, and publish it with one atomic store. A published snapshot is
-// never mutated again, so a batch that loaded it mid-swap keeps a fully
-// consistent view: every packet of one burst is processed against the
-// same rule and hop tables.
+// atomic load and never takes a lock (RCU-style reads); writers copy
+// the current snapshot under the forwarder's writer mutex, replace the
+// maps they change with modified copies, and publish it with one atomic
+// store. A published snapshot and its maps are never mutated again, so a
+// batch that loaded it mid-swap keeps a fully consistent view: every
+// packet of one burst is processed against the same rule and hop tables.
 type snapshot struct {
-	rules  map[labels.Stack]*rule
 	hops   map[flowtable.Hop]NextHop
 	byAddr map[simnet.Addr]flowtable.Hop
 	// chainDropOf resolves a chain label to its drop counter for
@@ -353,19 +352,50 @@ type snapshot struct {
 	// whenever the writer-side master map changes.
 	chainDropOf map[uint32]*metrics.Counter
 	bridgeTo    flowtable.Hop
+	// rules is last, so the fields above share one cache line.
+	rules ruleTable
 }
 
-// clone returns a copy whose maps can be mutated without disturbing
-// readers of the original. Rule values themselves are immutable after
-// install, so a shallow copy suffices.
+// clone returns a copy that shares every map with s; a writer replaces
+// each map it changes (rule shards through ruleTable.set) instead of
+// modifying it.
 func (s *snapshot) clone() *snapshot {
-	return &snapshot{
-		rules:       maps.Clone(s.rules),
-		hops:        maps.Clone(s.hops),
-		byAddr:      maps.Clone(s.byAddr),
-		chainDropOf: s.chainDropOf, // replaced, never mutated; see chainCountersWLocked
-		bridgeTo:    s.bridgeTo,
+	c := *s
+	return &c
+}
+
+// ruleShards is how many maps a rule table is split into.
+const ruleShards = 64
+
+// ruleTable maps label stacks to rules, split by chain label into
+// ruleShards maps so a rule write copies one shard rather than every
+// rule at the forwarder. Rules themselves are immutable after install.
+type ruleTable [ruleShards]map[labels.Stack]*rule
+
+func (t *ruleTable) get(st labels.Stack) *rule {
+	return t[st.Chain%ruleShards][st]
+}
+
+// set replaces st's shard with a copy in which st maps to r, or holds no
+// rule for st when r is nil.
+func (t *ruleTable) set(st labels.Stack, r *rule) {
+	i := st.Chain % ruleShards
+	m := make(map[labels.Stack]*rule, len(t[i])+1)
+	maps.Copy(m, t[i])
+	if r != nil {
+		m[st] = r
+	} else {
+		delete(m, st)
 	}
+	t[i] = m
+}
+
+func (t *ruleTable) len() int {
+	n := 0
+	for _, m := range t {
+		n += len(m)
+	}
+	return n
 }
 
 // Forwarder is one Switchboard forwarder instance. The routing state is
@@ -420,23 +450,11 @@ func NewWithStore(name string, mode Mode, store FlowStore) *Forwarder {
 		chainDropOf: make(map[uint32]*metrics.Counter),
 	}
 	f.snap.Store(&snapshot{
-		rules:       make(map[labels.Stack]*rule),
 		hops:        make(map[flowtable.Hop]NextHop),
 		byAddr:      make(map[simnet.Addr]flowtable.Hop),
 		chainDropOf: make(map[uint32]*metrics.Counter),
 	})
 	return f
-}
-
-// mutate clones the current snapshot, applies fn to the copy, and
-// publishes it. All control-plane writes go through here; the packet
-// path never blocks on them.
-func (f *Forwarder) mutate(fn func(s *snapshot)) {
-	f.wmu.Lock()
-	defer f.wmu.Unlock()
-	s := f.snap.Load().clone()
-	fn(s)
-	f.snap.Store(s)
 }
 
 // Name returns the forwarder's name.
@@ -465,6 +483,7 @@ func (f *Forwarder) AddHop(nh NextHop) flowtable.Hop {
 		nh.ID = flowtable.Hop(f.nextID)
 	}
 	s := f.snap.Load().clone()
+	s.hops, s.byAddr = maps.Clone(s.hops), maps.Clone(s.byAddr)
 	s.hops[nh.ID] = nh
 	s.byAddr[nh.Addr] = nh.ID
 	f.snap.Store(s)
@@ -503,10 +522,13 @@ func (f *Forwarder) InstallRule(st labels.Stack, spec RuleSpec) {
 	}
 	f.wmu.Lock()
 	defer f.wmu.Unlock()
-	r.chainTx, r.chainDrops = f.chainCountersWLocked(st.Chain, spec.Chain)
+	var changed bool
+	r.chainTx, r.chainDrops, changed = f.chainCountersWLocked(st.Chain, spec.Chain)
 	s := f.snap.Load().clone()
-	s.rules[st] = r
-	s.chainDropOf = maps.Clone(f.chainDropOf)
+	s.rules.set(st, r)
+	if changed {
+		s.chainDropOf = maps.Clone(f.chainDropOf)
+	}
 	f.snap.Store(s)
 }
 
@@ -514,9 +536,10 @@ func (f *Forwarder) InstallRule(st labels.Stack, spec RuleSpec) {
 // tx/drops counters for a chain label, keyed by the chain's name (or
 // the decimal label when unnamed). Reinstalls reuse the same counters,
 // so counts stay cumulative across route updates. Caller holds f.wmu
-// and must republish chainDropOf into the snapshot (the master maps are
+// and, when changed reports that the label's drop counter is new, must
+// republish chainDropOf into the snapshot (the master maps are
 // writer-side; published snapshots carry immutable clones).
-func (f *Forwarder) chainCountersWLocked(label uint32, name string) (tx, drops *metrics.Counter) {
+func (f *Forwarder) chainCountersWLocked(label uint32, name string) (tx, drops *metrics.Counter, changed bool) {
 	if f.chainTx != nil {
 		if name == "" {
 			name = strconv.FormatUint(uint64(label), 10)
@@ -527,8 +550,9 @@ func (f *Forwarder) chainCountersWLocked(label uint32, name string) (tx, drops *
 	} else {
 		drops = f.chainDropOf[label]
 	}
+	changed = f.chainDropOf[label] != drops
 	f.chainTxOf[label], f.chainDropOf[label] = tx, drops
-	return tx, drops
+	return tx, drops, changed
 }
 
 // ForgetChain garbage-collects a deleted chain's per-chain tx/drops
@@ -539,6 +563,7 @@ func (f *Forwarder) chainCountersWLocked(label uint32, name string) (tx, drops *
 func (f *Forwarder) ForgetChain(label uint32, name string) {
 	f.wmu.Lock()
 	defer f.wmu.Unlock()
+	_, counted := f.chainDropOf[label]
 	delete(f.chainTxOf, label)
 	delete(f.chainDropOf, label)
 	if f.chainTx != nil {
@@ -548,9 +573,11 @@ func (f *Forwarder) ForgetChain(label uint32, name string) {
 		f.chainTx.Forget(name)
 		f.chainDrops.Forget(name)
 	}
-	s := f.snap.Load().clone()
-	s.chainDropOf = maps.Clone(f.chainDropOf)
-	f.snap.Store(s)
+	if counted {
+		s := f.snap.Load().clone()
+		s.chainDropOf = maps.Clone(f.chainDropOf)
+		f.snap.Store(s)
+	}
 }
 
 // ChainCounters returns load functions over a chain's per-chain tx and
@@ -558,10 +585,12 @@ func (f *Forwarder) ForgetChain(label uint32, name string) {
 // installed yet — the drop source the SLO evaluator diffs per interval.
 func (f *Forwarder) ChainCounters(label uint32, name string) (tx, drops func() uint64) {
 	f.wmu.Lock()
-	txC, dropC := f.chainCountersWLocked(label, name)
-	s := f.snap.Load().clone()
-	s.chainDropOf = maps.Clone(f.chainDropOf)
-	f.snap.Store(s)
+	txC, dropC, changed := f.chainCountersWLocked(label, name)
+	if changed {
+		s := f.snap.Load().clone()
+		s.chainDropOf = maps.Clone(f.chainDropOf)
+		f.snap.Store(s)
+	}
 	f.wmu.Unlock()
 	return txC.Load, dropC.Load
 }
@@ -571,7 +600,7 @@ func (f *Forwarder) ChainCounters(label uint32, name string) (tx, drops func() u
 // the failover timeline correlates against. ok is false when no rule is
 // installed.
 func (f *Forwarder) RuleInstalledAt(st labels.Stack) (at time.Time, ok bool) {
-	r := f.snap.Load().rules[st]
+	r := f.snap.Load().rules.get(st)
 	if r == nil {
 		return time.Time{}, false
 	}
@@ -580,14 +609,14 @@ func (f *Forwarder) RuleInstalledAt(st labels.Stack) (at time.Time, ok bool) {
 
 // rulesLen returns the number of installed rules (metrics gauge).
 func (f *Forwarder) rulesLen() int {
-	return len(f.snap.Load().rules)
+	return f.snap.Load().rules.len()
 }
 
 // RuleInfo reports the installed rule's picker sizes for a label stack:
 // the number of weighted slots for local VNFs, next hops, and previous
 // hops. ok is false when no rule is installed.
 func (f *Forwarder) RuleInfo(st labels.Stack) (local, next, prev int, ok bool) {
-	r := f.snap.Load().rules[st]
+	r := f.snap.Load().rules.get(st)
 	if r == nil {
 		return 0, 0, 0, false
 	}
@@ -605,7 +634,7 @@ func (f *Forwarder) RuleInfo(st labels.Stack) (local, next, prev int, ok bool) {
 // previous hops. ok is false when no rule is installed.
 func (f *Forwarder) RuleAddrs(st labels.Stack) (local, next, prev []simnet.Addr, ok bool) {
 	s := f.snap.Load()
-	r := s.rules[st]
+	r := s.rules.get(st)
 	if r == nil {
 		return nil, nil, nil, false
 	}
@@ -628,7 +657,7 @@ func (f *Forwarder) RuleAddrs(st labels.Stack) (local, next, prev []simnet.Addr,
 // installed rule for a label stack (0 when no rule exists). Experiments
 // use it to detect that an updated multi-site route has propagated.
 func (f *Forwarder) RuleNextHopCount(st labels.Stack) int {
-	r := f.snap.Load().rules[st]
+	r := f.snap.Load().rules.get(st)
 	if r == nil || r.next == nil {
 		return 0
 	}
@@ -639,14 +668,27 @@ func (f *Forwarder) RuleNextHopCount(st labels.Stack) int {
 	return len(distinct)
 }
 
-// RemoveRule deletes the rule for a label stack.
+// RemoveRule deletes the rule for a label stack. Removing a rule the
+// forwarder does not hold copies nothing and publishes nothing.
 func (f *Forwarder) RemoveRule(st labels.Stack) {
-	f.mutate(func(s *snapshot) { delete(s.rules, st) })
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
+	s := f.snap.Load()
+	if s.rules.get(st) == nil {
+		return
+	}
+	s = s.clone()
+	s.rules.set(st, nil)
+	f.snap.Store(s)
 }
 
 // SetBridgeTarget configures the fixed peer used in ModeBridge.
 func (f *Forwarder) SetBridgeTarget(h flowtable.Hop) {
-	f.mutate(func(s *snapshot) { s.bridgeTo = h })
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
+	s := f.snap.Load().clone()
+	s.bridgeTo = h
+	f.snap.Store(s)
 }
 
 // FlowCount returns the number of tracked connections.
@@ -848,7 +890,7 @@ func (f *Forwarder) labelsBatch(s *snapshot, pkts []*packet.Packet, froms []flow
 			continue
 		}
 		if !haveRule || p.Labels != lastSt {
-			lastRule, lastSt, haveRule = s.rules[p.Labels], p.Labels, true
+			lastRule, lastSt, haveRule = s.rules.get(p.Labels), p.Labels, true
 			cb.switchTo(lastRule)
 		}
 		r := lastRule
@@ -922,7 +964,7 @@ func (f *Forwarder) affinityBatch(s *snapshot, pkts []*packet.Packet, froms []fl
 			continue
 		}
 		if !haveRule || p.Labels != lastSt {
-			lastRule, lastSt, haveRule = s.rules[p.Labels], p.Labels, true
+			lastRule, lastSt, haveRule = s.rules.get(p.Labels), p.Labels, true
 		}
 		rules[i] = lastRule
 		if lastRule == nil {

@@ -8,6 +8,7 @@ package forwarder
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -73,6 +74,55 @@ func TestBatchObservesOneSnapshot(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRemoveAbsentRuleCopiesNothing pins the no-op write path: removing
+// a stack the forwarder holds no rule for publishes no new snapshot and
+// allocates nothing, however many rules the forwarder holds.
+func TestRemoveAbsentRuleCopiesNothing(t *testing.T) {
+	f := New("f", ModeLabels, 4)
+	next := f.AddHop(NextHop{Kind: KindForwarder, Addr: addr("B", "a")})
+	for c := uint32(1); c <= 100; c++ {
+		f.InstallRule(labels.Stack{Chain: c, Egress: 1}, RuleSpec{Next: []WeightedHop{{next, 1}}})
+	}
+	absent := labels.Stack{Chain: 999, Egress: 1}
+	before := f.snap.Load()
+	f.RemoveRule(absent)
+	if f.snap.Load() != before {
+		t.Fatal("RemoveRule of an absent stack published a new snapshot")
+	}
+	if n := testing.AllocsPerRun(100, func() { f.RemoveRule(absent) }); n != 0 {
+		t.Fatalf("RemoveRule of an absent stack: %v allocs, want 0", n)
+	}
+	f.RemoveRule(labels.Stack{Chain: 1, Egress: 1})
+	if f.snap.Load() == before || f.rulesLen() != 99 {
+		t.Fatalf("RemoveRule of a present stack: snapshot replaced %v, %d rules, want 99",
+			f.snap.Load() != before, f.rulesLen())
+	}
+}
+
+// TestReinstallKeepsChainDropMap pins that a rule install for a chain
+// label the forwarder already counts republishes the rule table but not
+// the chain-drop map, and that a new label still reaches the map.
+func TestReinstallKeepsChainDropMap(t *testing.T) {
+	f := New("f", ModeLabels, 4)
+	next := f.AddHop(NextHop{Kind: KindForwarder, Addr: addr("B", "a")})
+	spec := RuleSpec{Chain: "c5", Next: []WeightedHop{{next, 1}}}
+	st := labels.Stack{Chain: 5, Egress: 1}
+	f.InstallRule(st, spec)
+	drops := f.snap.Load().chainDropOf
+	if drops[5] == nil {
+		t.Fatal("first install did not publish the chain's drop counter")
+	}
+	f.InstallRule(st, spec)
+	f.InstallRule(labels.Stack{Chain: 5, Egress: 2}, spec)
+	if got := f.snap.Load().chainDropOf; reflect.ValueOf(got).UnsafePointer() != reflect.ValueOf(drops).UnsafePointer() {
+		t.Fatal("install for an already counted chain label replaced chainDropOf")
+	}
+	f.InstallRule(labels.Stack{Chain: 6, Egress: 1}, RuleSpec{Chain: "c6", Next: []WeightedHop{{next, 1}}})
+	if f.snap.Load().chainDropOf[6] == nil {
+		t.Fatal("install for a new chain label did not publish its drop counter")
+	}
 }
 
 // TestConcurrentRuleChurnRacingProcessBatch hammers the affinity batch
