@@ -8,7 +8,6 @@
 package bus
 
 import (
-	"fmt"
 	"strings"
 
 	"switchboard/internal/simnet"
@@ -20,9 +19,9 @@ import (
 // lets any proxy infer where subscription filters must be installed.
 type Topic string
 
-// MakeTopic assembles a topic from its components.
+// MakeTopic assembles a topic from its components, in one allocation.
 func MakeTopic(chain, egress, vnf string, site simnet.SiteID, kind string) Topic {
-	return Topic(fmt.Sprintf("/%s/%s/%s/site_%s/%s", chain, egress, vnf, site, kind))
+	return Topic("/" + chain + "/" + egress + "/" + vnf + "/site_" + string(site) + "/" + kind)
 }
 
 // PublisherSite extracts the publisher's site from the topic's first

@@ -122,7 +122,9 @@ func (g *GlobalSwitchboard) admitBatch(batch []pendingAdmit) []admitResult {
 	g.mu.Lock()
 	tl := g.tl
 	g.mu.Unlock()
-	tl.Record(fmt.Sprintf("admission batch of %d", len(batch)))
+	if tl != nil {
+		tl.Record(fmt.Sprintf("admission batch of %d", len(batch)))
+	}
 
 	// Per-request setup that cannot be shared: duplicate checks, edge
 	// instances, and label allocation.
@@ -256,7 +258,9 @@ func (g *GlobalSwitchboard) admitBatch(batch []pendingAdmit) []admitResult {
 			results[in.idx] = admitResult{err: err}
 		}
 	}
-	tl.Record(fmt.Sprintf("admission batch committed: %d joint", len(installed)))
+	if tl != nil {
+		tl.Record(fmt.Sprintf("admission batch committed: %d joint", len(installed)))
+	}
 	return results
 }
 

@@ -996,7 +996,9 @@ func (g *GlobalSwitchboard) DeleteChain(id ChainID) error {
 	if err := g.publishRoute(); err != nil {
 		return err
 	}
-	tl.Record(fmt.Sprintf("chain %s deleted", id))
+	if tl != nil {
+		tl.Record(fmt.Sprintf("chain %s deleted", id))
+	}
 	return nil
 }
 
@@ -1045,7 +1047,9 @@ func (g *GlobalSwitchboard) HandleSiteFailure(site simnet.SiteID) (rerouted []Ch
 	for _, v := range vnfs {
 		v.FailSite(site)
 	}
-	tl.Record(fmt.Sprintf("site %s failed: %d chains affected", site, len(affected)))
+	if tl != nil {
+		tl.Record(fmt.Sprintf("site %s failed: %d chains affected", site, len(affected)))
+	}
 	sp.Event(fmt.Sprintf("deployments failed: %d chains affected", len(affected)))
 
 	for _, id := range affected {
@@ -1057,7 +1061,9 @@ func (g *GlobalSwitchboard) HandleSiteFailure(site simnet.SiteID) (rerouted []Ch
 		}
 		rerouted = append(rerouted, id)
 	}
-	tl.Record(fmt.Sprintf("site %s failure handled: %d/%d chains rerouted", site, len(rerouted), len(affected)))
+	if tl != nil {
+		tl.Record(fmt.Sprintf("site %s failure handled: %d/%d chains rerouted", site, len(rerouted), len(affected)))
+	}
 	sp.Event(fmt.Sprintf("chains rerouted: %d/%d", len(rerouted), len(affected)))
 	return rerouted, firstErr
 }

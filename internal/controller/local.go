@@ -124,12 +124,50 @@ type roleRuntime struct {
 
 type chainState struct {
 	rec *RouteRecord
-	// infos caches the latest InstanceInfo list per subscribed topic; only
-	// the apply loop touches it. pending holds lists delivered since the
-	// last install, under mu.
-	infos   map[bus.Topic][]InstanceInfo
-	pending map[bus.Topic][]InstanceInfo
-	subs    []*bus.Subscription
+	// deps are the subscribed inputs of the chain's rules at this site, a
+	// handful per chain; only the apply loop touches the slice.
+	deps []*dep
+	subs []*bus.Subscription
+}
+
+// dep is one subscribed input of a chain's rules.
+type dep struct {
+	key depKey
+	// infos is the list rules were last computed from; only the apply
+	// loop touches it. pending is the newest list delivered since, valid
+	// when fresh; both under mu.
+	infos   []InstanceInfo
+	pending []InstanceInfo
+	fresh   bool
+}
+
+// infos returns the list the chain's rules are computed from for k, nil
+// before the first delivery.
+func (cs *chainState) infos(k depKey) []InstanceInfo {
+	for _, d := range cs.deps {
+		if d.key == k {
+			return d.infos
+		}
+	}
+	return nil
+}
+
+// depKey names one input of a chain's rules at a site: the forwarders
+// serving role at site or, with instances set, the instances of VNF
+// role at site. Rules are computed from keys; the bus topic name is
+// formatted only to subscribe or publish.
+type depKey struct {
+	role      string
+	site      simnet.SiteID
+	instances bool
+}
+
+// topic returns the chain's bus topic for the dependency.
+func (k depKey) topic(st labels.Stack) bus.Topic {
+	if k.instances {
+		return instancesTopic(st, k.role, k.site)
+	}
+	return forwardersTopic(st, k.role, k.site)
 }
 
 // NewLocalSwitchboard creates the Local Switchboard for a site and
@@ -449,14 +487,16 @@ func (ls *LocalSwitchboard) onRoute(rec *RouteRecord) {
 	}
 	cs, ok := ls.chains[rec.Chain]
 	if !ok {
-		cs = &chainState{infos: make(map[bus.Topic][]InstanceInfo), pending: make(map[bus.Topic][]InstanceInfo)}
+		cs = &chainState{}
 		ls.chains[rec.Chain] = cs
 	}
 	ls.routesApplied.Add(1)
 	cs.rec = rec
 	tl := ls.tl
 	ls.mu.Unlock()
-	tl.Record(fmt.Sprintf("localSB %s received route v%d for %s", ls.site, rec.Version, rec.Chain))
+	if tl != nil {
+		tl.Record(fmt.Sprintf("localSB %s received route v%d for %s", ls.site, rec.Version, rec.Chain))
+	}
 
 	// The apply-route span covers everything this site does with the
 	// record: publishing its forwarders, wiring subscriptions, and
@@ -464,7 +504,9 @@ func (ls *LocalSwitchboard) onRoute(rec *RouteRecord) {
 	// operation that produced the route, across the bus. applyTable hands
 	// over only new or changed records, so republished ones don't re-span.
 	sp := ls.recorder().Start("ls."+string(ls.site)+".apply_route", "ls.rule_install_ms", rec.SpanID)
-	sp.Event(fmt.Sprintf("route v%d received for %s", rec.Version, rec.Chain))
+	if sp != nil {
+		sp.Event(fmt.Sprintf("route v%d received for %s", rec.Version, rec.Chain))
+	}
 	defer sp.End()
 
 	// Publish this site's forwarders for the roles it plays (all
@@ -480,8 +522,8 @@ func (ls *LocalSwitchboard) onRoute(rec *RouteRecord) {
 	sp.Event("forwarders published")
 
 	// Subscribe to every topic this site's rules depend on.
-	for _, topic := range ls.dependencyTopics(rec, st) {
-		ls.subscribe(cs, rec.Chain, topic)
+	for _, k := range ls.dependencies(rec) {
+		ls.subscribe(cs, rec.Chain, st, k)
 	}
 	sp.Event("dependency subscriptions ensured")
 	ls.reinstall(rec.Chain)
@@ -516,7 +558,9 @@ func (ls *LocalSwitchboard) removeChain(rec *RouteRecord) {
 	for _, sub := range cs.subs {
 		sub.Cancel()
 	}
-	tl.Record(fmt.Sprintf("localSB %s removed chain %s", ls.site, rec.Chain))
+	if tl != nil {
+		tl.Record(fmt.Sprintf("localSB %s removed chain %s", ls.site, rec.Chain))
+	}
 }
 
 // siteHostsStage reports whether this site receives traffic at stage z
@@ -530,19 +574,19 @@ func (ls *LocalSwitchboard) siteHostsStage(rec *RouteRecord, z int) bool {
 	return false
 }
 
-// dependencyTopics lists the bus topics whose contents feed this site's
-// rules for the chain. A topic may repeat; subscribe ignores repeats.
-func (ls *LocalSwitchboard) dependencyTopics(rec *RouteRecord, st labels.Stack) []bus.Topic {
-	var out []bus.Topic
+// dependencies lists what this site's rules for the chain are computed
+// from. A key may repeat; subscribe ignores repeats.
+func (ls *LocalSwitchboard) dependencies(rec *RouteRecord) []depKey {
+	var out []depKey
 	add := func(role string, sites map[simnet.SiteID]float64) {
 		for s := range sites {
-			out = append(out, forwardersTopic(st, role, s))
+			out = append(out, depKey{role: role, site: s})
 		}
 	}
 	for j, vnfName := range rec.VNFs {
 		if z := j + 1; ls.siteHostsStage(rec, z) {
 			// Local instances, next-stage and previous-stage forwarders.
-			out = append(out, instancesTopic(st, vnfName, ls.site))
+			out = append(out, depKey{role: vnfName, site: ls.site, instances: true})
 			add(ls.stagePeers(rec, z+1, true))
 			add(ls.stagePeers(rec, z, false))
 		}
@@ -588,24 +632,31 @@ func (ls *LocalSwitchboard) stagePeers(rec *RouteRecord, z int, forward bool) (s
 	return role, out
 }
 
-// subscribe wires one dependency topic of a chain: its callback keeps
-// the topic's latest list and marks the chain dirty for the apply loop.
-func (ls *LocalSwitchboard) subscribe(cs *chainState, id ChainID, topic bus.Topic) {
-	if _, exists := cs.infos[topic]; exists {
-		return
+// subscribe wires one input of a chain to its bus topic: the callback
+// keeps the input's latest list and marks the chain dirty for the apply
+// loop.
+func (ls *LocalSwitchboard) subscribe(cs *chainState, id ChainID, st labels.Stack, k depKey) {
+	for _, d := range cs.deps {
+		if d.key == k {
+			return
+		}
 	}
-	cs.infos[topic] = nil
+	d := &dep{key: k}
+	cs.deps = append(cs.deps, d)
+	topic := k.topic(st)
 	sub, err := ls.bus.SubscribeFunc(ls.site, topic, func(pub bus.Publication) {
 		infos, ok := pub.Payload.([]InstanceInfo)
 		if !ok {
 			return
 		}
 		ls.mu.Lock()
-		cs.pending[topic] = infos
+		d.pending, d.fresh = infos, true
 		ls.dirty[id] = true
 		tl := ls.tl
 		ls.mu.Unlock()
-		tl.Record(fmt.Sprintf("localSB %s received %s", ls.site, topic))
+		if tl != nil {
+			tl.Record(fmt.Sprintf("localSB %s received %s", ls.site, topic))
+		}
 		ls.poke()
 	})
 	if err != nil {
@@ -637,11 +688,11 @@ func (ls *LocalSwitchboard) reinstall(id ChainID) {
 		return
 	}
 	rec := cs.rec
-	for t, v := range cs.pending {
-		cs.infos[t] = v
+	for _, d := range cs.deps {
+		if d.fresh {
+			d.infos, d.pending, d.fresh = d.pending, nil, false
+		}
 	}
-	clear(cs.pending)
-	infos := cs.infos
 	tl := ls.tl
 	ls.mu.Unlock()
 
@@ -658,7 +709,8 @@ func (ls *LocalSwitchboard) reinstall(id ChainID) {
 			continue
 		}
 		members := ls.roleForwarders(vnfName, true)
-		live := len(infos[instancesTopic(st, vnfName, ls.site)]) > 0
+		instances := cs.infos(depKey{role: vnfName, site: ls.site, instances: true})
+		live := len(instances) > 0
 		for _, rt := range members {
 			f := rt.f
 			if !live {
@@ -670,21 +722,23 @@ func (ls *LocalSwitchboard) reinstall(id ChainID) {
 				continue
 			}
 			spec := forwarder.RuleSpec{Chain: string(rec.Chain)}
-			for _, info := range infos[instancesTopic(st, vnfName, ls.site)] {
+			for _, info := range instances {
 				hop := ls.hopFor(f, forwarder.NextHop{
 					Kind: forwarder.KindVNF, Addr: info.Addr,
 					LabelAware: info.LabelAware, Labels: st,
 				})
 				spec.LocalVNF = append(spec.LocalVNF, forwarder.WeightedHop{Hop: hop, Weight: info.Weight})
 			}
-			spec.Next = ls.weightedForwarders(f, st, infos, rec, z+1, true)
-			spec.Prev = ls.weightedForwarders(f, st, infos, rec, z, false)
+			spec.Next = ls.weightedForwarders(f, cs, rec, z+1, true)
+			spec.Prev = ls.weightedForwarders(f, cs, rec, z, false)
 			f.InstallRule(st, spec)
 		}
-		if live {
-			tl.Record(fmt.Sprintf("localSB %s installed rule for %s at fwd-%s", ls.site, id, vnfName))
-		} else {
-			tl.Record(fmt.Sprintf("localSB %s removed rule for %s at fwd-%s (no instances)", ls.site, id, vnfName))
+		if tl != nil {
+			if live {
+				tl.Record(fmt.Sprintf("localSB %s installed rule for %s at fwd-%s", ls.site, id, vnfName))
+			} else {
+				tl.Record(fmt.Sprintf("localSB %s removed rule for %s at fwd-%s (no instances)", ls.site, id, vnfName))
+			}
 		}
 	}
 
@@ -705,14 +759,16 @@ func (ls *LocalSwitchboard) reinstall(id ChainID) {
 					spec.LocalVNF = []forwarder.WeightedHop{{Hop: hop, Weight: 1}}
 				}
 				if rec.IsIngress(ls.site) {
-					spec.Next = ls.weightedForwarders(f, st, infos, rec, 1, true)
+					spec.Next = ls.weightedForwarders(f, cs, rec, 1, true)
 				}
 				if rec.EgressSite == ls.site {
-					spec.Prev = ls.weightedForwarders(f, st, infos, rec, rec.Stages(), false)
+					spec.Prev = ls.weightedForwarders(f, cs, rec, rec.Stages(), false)
 				}
 				f.InstallRule(st, spec)
 			}
-			tl.Record(fmt.Sprintf("localSB %s installed edge rule for %s", ls.site, id))
+			if tl != nil {
+				tl.Record(fmt.Sprintf("localSB %s installed edge rule for %s", ls.site, id))
+			}
 		}
 	} else {
 		ls.removeStaleRule(edgeRole, st)
@@ -730,11 +786,11 @@ func (ls *LocalSwitchboard) removeStaleRule(role string, st labels.Stack) {
 // weightedForwarders builds the hierarchical weights of the forwarders
 // on the far side of this site's stage-z hop (see stagePeers): site-level
 // split weight × published forwarder weight.
-func (ls *LocalSwitchboard) weightedForwarders(f *forwarder.Forwarder, st labels.Stack, infos map[bus.Topic][]InstanceInfo, rec *RouteRecord, z int, forward bool) []forwarder.WeightedHop {
+func (ls *LocalSwitchboard) weightedForwarders(f *forwarder.Forwarder, cs *chainState, rec *RouteRecord, z int, forward bool) []forwarder.WeightedHop {
 	role, sites := ls.stagePeers(rec, z, forward)
 	var out []forwarder.WeightedHop
 	for site, siteWeight := range sites {
-		list := infos[forwardersTopic(st, role, site)]
+		list := cs.infos(depKey{role: role, site: site})
 		total := 0.0
 		for _, info := range list {
 			total += info.Weight

@@ -154,7 +154,8 @@ func NewTimeline(n int) *Timeline {
 }
 
 // Record appends an event now. It never blocks; overflow events are
-// dropped.
+// dropped. A nil Timeline records nothing, so callers on the admission
+// path check for nil before formatting a message.
 func (t *Timeline) Record(name string) {
 	if t == nil {
 		return

@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 
 	"switchboard/internal/bus"
@@ -389,15 +390,19 @@ func (v *VNFController) Stop() {
 // instancesTopic is the bus topic carrying a VNF's instance list at a
 // site for one chain, e.g. "/c100/e3/vnf_fw/site_A/instances".
 func instancesTopic(st labels.Stack, vnfName string, site simnet.SiteID) bus.Topic {
-	return bus.MakeTopic(
-		fmt.Sprintf("c%d", st.Chain), fmt.Sprintf("e%d", st.Egress),
-		"vnf_"+vnfName, site, "instances")
+	return chainTopic(st, vnfName, site, "instances")
 }
 
 // forwardersTopic carries the forwarders serving a VNF's instances at a
 // site for one chain, published by the site's Local Switchboard.
 func forwardersTopic(st labels.Stack, vnfName string, site simnet.SiteID) bus.Topic {
+	return chainTopic(st, vnfName, site, "forwarders")
+}
+
+// chainTopic builds a per-chain topic without fmt: admission publishes
+// and subscribes to several per chain.
+func chainTopic(st labels.Stack, vnfName string, site simnet.SiteID, kind string) bus.Topic {
 	return bus.MakeTopic(
-		fmt.Sprintf("c%d", st.Chain), fmt.Sprintf("e%d", st.Egress),
-		"vnf_"+vnfName, site, "forwarders")
+		"c"+strconv.FormatUint(uint64(st.Chain), 10), "e"+strconv.FormatUint(uint64(st.Egress), 10),
+		"vnf_"+vnfName, site, kind)
 }

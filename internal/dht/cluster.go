@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,19 +18,23 @@ import (
 // through the owners in order, so any member (or a member that takes
 // over a failed peer's VNF instances) sees every connection's pinned
 // hops.
+//
+// Membership lives in an immutable ring snapshot. Join, Fail and Leave
+// build a new one and swap it in under mu; every other operation loads
+// the current snapshot without taking mu.
 type Cluster struct {
 	replicas int
 
-	mu     sync.RWMutex
-	ring   *Ring
-	stores map[string]*store
-	epoch  atomic.Uint32
+	mu    sync.Mutex // serialises membership changes
+	ring  atomic.Pointer[ring]
+	epoch atomic.Uint32
 }
 
 // store is one member's local partition.
 type store struct {
-	mu sync.Mutex
-	m  map[flowtable.Key]entry
+	name string
+	mu   sync.Mutex
+	m    map[flowtable.Key]entry
 }
 
 type entry struct {
@@ -42,26 +47,33 @@ type entry struct {
 // `replicas` members (minimum 1; the paper's fault-tolerance goal needs
 // at least 2).
 func NewCluster(replicas int) *Cluster {
-	if replicas < 1 {
-		replicas = 1
-	}
-	return &Cluster{
-		replicas: replicas,
-		ring:     NewRing(),
-		stores:   make(map[string]*store),
-	}
+	c := &Cluster{replicas: max(replicas, 1)}
+	c.ring.Store(newRing(nil, nil, c.replicas))
+	return c
+}
+
+// swapLocked publishes the snapshot for the given membership. The
+// caller holds c.mu.
+func (c *Cluster) swapLocked(members, leaving []*store) {
+	c.ring.Store(newRing(members, leaving, c.replicas))
+}
+
+// without returns set minus st, leaving set itself unmodified.
+func without(set []*store, st *store) []*store {
+	return slices.DeleteFunc(slices.Clone(set), func(s *store) bool { return s == st })
 }
 
 // Join adds a member and returns its flow-store handle. Existing records
 // are re-replicated so the new member immediately owns its share.
 func (c *Cluster) Join(node string) (*Node, error) {
 	c.mu.Lock()
-	if _, dup := c.stores[node]; dup {
+	r := c.ring.Load()
+	if _, dup := r.member(node); dup {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("dht: node %s already joined", node)
 	}
-	c.ring.Add(node)
-	c.stores[node] = &store{m: make(map[flowtable.Key]entry)}
+	st := &store{name: node, m: make(map[flowtable.Key]entry)}
+	c.swapLocked(append(slices.Clone(r.members), st), r.leaving)
 	c.mu.Unlock()
 	c.Repair()
 	return &Node{c: c, name: node}, nil
@@ -72,58 +84,67 @@ func (c *Cluster) Join(node string) (*Node, error) {
 // replication factor on the remaining members.
 func (c *Cluster) Fail(node string) {
 	c.mu.Lock()
-	c.ring.Remove(node)
-	delete(c.stores, node)
+	r := c.ring.Load()
+	if st, ok := r.member(node); ok {
+		c.swapLocked(without(r.members, st), without(r.leaving, st))
+	}
 	c.mu.Unlock()
 	c.Repair()
 }
 
 // Leave removes a member gracefully: its records are re-replicated
-// before the partition is dropped (scale-in).
+// before the partition is dropped (scale-in). While it hands them off
+// the member owns no keys, but removals, eviction and migration still
+// reach its partition.
 func (c *Cluster) Leave(node string) {
 	c.mu.Lock()
-	st, ok := c.stores[node]
-	if !ok {
+	r := c.ring.Load()
+	st, ok := r.member(node)
+	if !ok || !slices.Contains(r.members, st) {
 		c.mu.Unlock()
 		return
 	}
-	c.ring.Remove(node)
+	c.swapLocked(without(r.members, st), append(slices.Clone(r.leaving), st))
 	c.mu.Unlock()
 
 	// Push this node's records to their new owners, then drop it.
-	st.mu.Lock()
-	records := make(map[flowtable.Key]entry, len(st.m))
-	for k, e := range st.m {
-		records[k] = e
-	}
-	st.mu.Unlock()
-	for k, e := range records {
+	for k, e := range st.records() {
 		c.replicate(k, e)
 	}
 	c.mu.Lock()
-	delete(c.stores, node)
+	r = c.ring.Load()
+	c.swapLocked(r.members, without(r.leaving, st))
 	c.mu.Unlock()
 }
 
-// Members returns the current member names.
+// Members returns the current member names in sorted order.
 func (c *Cluster) Members() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring.Nodes()
+	r := c.ring.Load()
+	out := make([]string, len(r.members))
+	for i, st := range r.members {
+		out[i] = st.name
+	}
+	return out
 }
 
-// replicate writes the entry to every current owner of the key.
-func (c *Cluster) replicate(k flowtable.Key, e entry) {
-	c.mu.RLock()
-	owners := c.ring.Owners(k.Flow.Hash(), c.replicas)
-	targets := make([]*store, 0, len(owners))
-	for _, o := range owners {
-		if st, ok := c.stores[o]; ok {
-			targets = append(targets, st)
-		}
+// records copies the partition's contents.
+func (s *store) records() map[flowtable.Key]entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[flowtable.Key]entry, len(s.m))
+	for k, e := range s.m {
+		out[k] = e
 	}
-	c.mu.RUnlock()
-	for _, st := range targets {
+	return out
+}
+
+// replicate writes the entry to every current owner of the key. The
+// owners come from the snapshot loaded here, so a membership change
+// swapped in before the writes land finds them on the old owners, just
+// as when the owners were read under a lock released before writing;
+// the Repair that Join and Fail run afterwards re-replicates them.
+func (c *Cluster) replicate(k flowtable.Key, e entry) {
+	for _, st := range c.ring.Load().ownersOf(k.Flow.Hash()) {
 		st.mu.Lock()
 		st.m[k] = e
 		st.mu.Unlock()
@@ -139,20 +160,8 @@ func canonicalKey(st labels.Stack, flow packet.FlowKey) (flowtable.Key, bool) {
 // any member is copied to all of the key's current owners. Called after
 // membership changes; cheap at site scale (one site's connections).
 func (c *Cluster) Repair() {
-	c.mu.RLock()
-	stores := make([]*store, 0, len(c.stores))
-	for _, st := range c.stores {
-		stores = append(stores, st)
-	}
-	c.mu.RUnlock()
-	for _, st := range stores {
-		st.mu.Lock()
-		records := make(map[flowtable.Key]entry, len(st.m))
-		for k, e := range st.m {
-			records[k] = e
-		}
-		st.mu.Unlock()
-		for k, e := range records {
+	for _, st := range c.ring.Load().all() {
+		for k, e := range st.records() {
 			c.replicate(k, e)
 		}
 	}
@@ -161,10 +170,8 @@ func (c *Cluster) Repair() {
 // Len returns the number of distinct connections stored (records are
 // counted once regardless of replication).
 func (c *Cluster) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	seen := make(map[flowtable.Key]bool)
-	for _, st := range c.stores {
+	for _, st := range c.ring.Load().all() {
 		st.mu.Lock()
 		for k := range st.m {
 			seen[k] = true
@@ -190,20 +197,13 @@ func (n *Node) Insert(st labels.Stack, flow packet.FlowKey, rec flowtable.Record
 	n.c.replicate(k, entry{rec: rec, fwdCanonical: fwdCanonical, epoch: n.c.epoch.Load()})
 }
 
-// Lookup consults the key's owners in ring order.
+// Lookup consults the key's owners in ring order: one hash, one binary
+// search over the current snapshot and one map probe per owner, with no
+// allocation and no cluster-wide lock.
 func (n *Node) Lookup(st labels.Stack, flow packet.FlowKey) (flowtable.Record, bool, bool) {
 	k, same := canonicalKey(st, flow)
 	epoch := n.c.epoch.Load()
-	n.c.mu.RLock()
-	owners := n.c.ring.Owners(k.Flow.Hash(), n.c.replicas)
-	stores := make([]*store, 0, len(owners))
-	for _, o := range owners {
-		if st, ok := n.c.stores[o]; ok {
-			stores = append(stores, st)
-		}
-	}
-	n.c.mu.RUnlock()
-	for _, s := range stores {
+	for _, s := range n.c.ring.Load().ownersOf(k.Flow.Hash()) {
 		s.mu.Lock()
 		e, ok := s.m[k]
 		if ok && e.epoch != epoch {
@@ -218,16 +218,10 @@ func (n *Node) Lookup(st labels.Stack, flow packet.FlowKey) (flowtable.Record, b
 	return flowtable.Record{}, false, false
 }
 
-// Remove deletes a connection from all owners.
+// Remove deletes a connection from all partitions.
 func (n *Node) Remove(st labels.Stack, flow packet.FlowKey) {
 	k, _ := canonicalKey(st, flow)
-	n.c.mu.RLock()
-	stores := make([]*store, 0, len(n.c.stores))
-	for _, s := range n.c.stores {
-		stores = append(stores, s)
-	}
-	n.c.mu.RUnlock()
-	for _, s := range stores {
+	for _, s := range n.c.ring.Load().all() {
 		s.mu.Lock()
 		delete(s.m, k)
 		s.mu.Unlock()
@@ -241,14 +235,8 @@ func (n *Node) Len() int { return n.c.Len() }
 // looked up within keep epochs.
 func (n *Node) Advance(keep uint32) (evicted int) {
 	cur := n.c.epoch.Add(1)
-	n.c.mu.RLock()
-	stores := make([]*store, 0, len(n.c.stores))
-	for _, s := range n.c.stores {
-		stores = append(stores, s)
-	}
-	n.c.mu.RUnlock()
 	seen := make(map[flowtable.Key]bool)
-	for _, s := range stores {
+	for _, s := range n.c.ring.Load().all() {
 		s.mu.Lock()
 		for k, e := range s.m {
 			if cur-e.epoch > keep {

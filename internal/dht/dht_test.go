@@ -1,7 +1,7 @@
 package dht
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 
 	"switchboard/internal/flowtable"
@@ -18,12 +18,27 @@ func flowN(i int) packet.FlowKey {
 	}
 }
 
-func TestRingOwnersDistinctAndStable(t *testing.T) {
-	r := NewRing()
-	for _, n := range []string{"f1", "f2", "f3", "f4"} {
-		r.Add(n)
+// testRing builds a ring snapshot over fresh, empty stores.
+func testRing(replicas int, names ...string) *ring {
+	stores := make([]*store, len(names))
+	for i, n := range names {
+		stores[i] = &store{name: n, m: make(map[flowtable.Key]entry)}
 	}
-	owners := r.Owners(12345, 3)
+	return newRing(stores, nil, replicas)
+}
+
+// ownerNames returns the names of the key's owners, in ring order.
+func ownerNames(r *ring, key uint64) []string {
+	var out []string
+	for _, st := range r.ownersOf(key) {
+		out = append(out, st.name)
+	}
+	return out
+}
+
+func TestRingOwnersDistinctAndStable(t *testing.T) {
+	r := testRing(3, "f1", "f2", "f3", "f4")
+	owners := ownerNames(r, 12345)
 	if len(owners) != 3 {
 		t.Fatalf("owners = %v, want 3", owners)
 	}
@@ -34,52 +49,60 @@ func TestRingOwnersDistinctAndStable(t *testing.T) {
 		}
 		seen[o] = true
 	}
-	// Stability: same key, same owners.
-	again := r.Owners(12345, 3)
-	for i := range owners {
-		if owners[i] != again[i] {
-			t.Fatal("owners not deterministic")
-		}
-	}
-}
-
-func TestRingOwnersFewerThanReplicas(t *testing.T) {
-	r := NewRing()
-	r.Add("only")
-	if got := r.Owners(1, 3); len(got) != 1 || got[0] != "only" {
-		t.Errorf("owners = %v", got)
-	}
-	if got := NewRing().Owners(1, 2); got != nil {
-		t.Errorf("empty ring owners = %v", got)
-	}
-}
-
-func TestRingRemoveRedistributes(t *testing.T) {
-	r := NewRing()
-	for _, n := range []string{"f1", "f2", "f3"} {
-		r.Add(n)
-	}
-	r.Remove("f2")
-	if r.Len() != 2 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	for key := uint64(0); key < 1000; key += 37 {
-		for _, o := range r.Owners(key, 2) {
-			if o == "f2" {
-				t.Fatal("removed node still owns keys")
+	// Stability: same key, same owners — also from a snapshot rebuilt
+	// over the same membership.
+	for _, again := range [][]string{ownerNames(r, 12345), ownerNames(testRing(3, "f4", "f3", "f2", "f1"), 12345)} {
+		for i := range owners {
+			if owners[i] != again[i] {
+				t.Fatal("owners not deterministic")
 			}
 		}
 	}
 }
 
-func TestRingBalance(t *testing.T) {
-	r := NewRing()
-	for i := 0; i < 4; i++ {
-		r.Add(fmt.Sprintf("f%d", i))
+func TestRingOwnersFewerThanReplicas(t *testing.T) {
+	if got := ownerNames(testRing(3, "only"), 1); len(got) != 1 || got[0] != "only" {
+		t.Errorf("owners = %v", got)
 	}
+	if got := testRing(2).ownersOf(1); got != nil {
+		t.Errorf("empty ring owners = %v", got)
+	}
+}
+
+// TestRingRemoveRedistributes removes a member through the cluster and
+// compares the snapshots before and after: the removed member owns no
+// key, and a key it did not own keeps exactly its owners.
+func TestRingRemoveRedistributes(t *testing.T) {
+	c := NewCluster(2)
+	for _, n := range []string{"f1", "f2", "f3"} {
+		if _, err := c.Join(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.ring.Load()
+	c.Fail("f2")
+	after := c.ring.Load()
+	if got := c.Members(); len(got) != 2 {
+		t.Fatalf("members = %v", got)
+	}
+	for key := uint64(0); key < 1000; key += 37 {
+		was, is := ownerNames(before, key), ownerNames(after, key)
+		for _, o := range is {
+			if o == "f2" {
+				t.Fatal("removed node still owns keys")
+			}
+		}
+		if !slices.Contains(was, "f2") && !slices.Equal(was, is) {
+			t.Fatalf("key %d not owned by f2 moved: %v -> %v", key, was, is)
+		}
+	}
+}
+
+func TestRingBalance(t *testing.T) {
+	r := testRing(1, "f0", "f1", "f2", "f3")
 	counts := map[string]int{}
 	for i := 0; i < 40000; i++ {
-		counts[r.Owners(flowN(i).Hash(), 1)[0]]++
+		counts[ownerNames(r, flowN(i).Hash())[0]]++
 	}
 	for n, c := range counts {
 		share := float64(c) / 40000

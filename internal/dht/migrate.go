@@ -13,15 +13,9 @@ import (
 // FlowsPinnedTo returns the canonical keys of every connection of stack
 // st pinned to the given VNF instance hop.
 func (c *Cluster) FlowsPinnedTo(st labels.Stack, hop flowtable.Hop) []flowtable.Key {
-	c.mu.RLock()
-	stores := make([]*store, 0, len(c.stores))
-	for _, s := range c.stores {
-		stores = append(stores, s)
-	}
-	c.mu.RUnlock()
 	seen := make(map[flowtable.Key]bool)
 	var out []flowtable.Key
-	for _, s := range stores {
+	for _, s := range c.ring.Load().all() {
 		s.mu.Lock()
 		for k, e := range s.m {
 			if k.Chain == st.Chain && k.Egress == st.Egress && e.rec.VNF == hop && !seen[k] {
@@ -39,12 +33,7 @@ func (c *Cluster) FlowsPinnedTo(st labels.Stack, hop flowtable.Hop) []flowtable.
 // still pinned to `from` move. Returns the number of distinct
 // connections moved.
 func (c *Cluster) RepinFlows(st labels.Stack, flows []flowtable.Key, from, to flowtable.Hop, ann uint8) (moved int) {
-	c.mu.RLock()
-	stores := make([]*store, 0, len(c.stores))
-	for _, s := range c.stores {
-		stores = append(stores, s)
-	}
-	c.mu.RUnlock()
+	stores := c.ring.Load().all()
 	for _, k := range flows {
 		if k.Chain != st.Chain || k.Egress != st.Egress {
 			continue

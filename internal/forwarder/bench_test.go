@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"switchboard/internal/dht"
 	"switchboard/internal/flowtable"
 	"switchboard/internal/health"
 	"switchboard/internal/labels"
@@ -143,27 +144,42 @@ func BenchmarkForwarderRuleWrite(b *testing.B) {
 }
 
 // Batched fast path: ProcessBatch at the swept burst sizes, against the
-// same rule set as Fig7. batch=1 goes through the Process wrapper, so the
-// delta between the sub-benchmarks is the burst amortization itself
-// (rule/hop lock acquisitions, shard locks, counter flushes per packet).
+// same rule set as Fig7. The delta between the sub-benchmarks is the
+// burst amortization itself (rule resolution, shard locks, counter
+// flushes per packet). affinity-dht runs the affinity path over a member
+// of a two-replica dht cluster, the store a Local Switchboard deploys.
 func BenchmarkForwarderBatch(b *testing.B) {
 	for _, mc := range []struct {
-		name string
-		mode Mode
+		name  string
+		mode  Mode
+		store func() FlowStore
 	}{
-		{"labels", ModeLabels},
-		{"affinity", ModeAffinity},
+		{"labels", ModeLabels, nil},
+		{"affinity", ModeAffinity, nil},
+		{"affinity-dht", ModeAffinity, dhtStore},
 	} {
 		for _, batch := range []int{1, 8, 32, 64} {
 			b.Run(fmt.Sprintf("%s/batch=%d", mc.name, batch), func(b *testing.B) {
-				benchmarkProcessBatch(b, mc.mode, batch)
+				f := New("bench", mc.mode, 16)
+				if mc.store != nil {
+					f = NewWithStore("bench", mc.mode, mc.store())
+				}
+				benchmarkProcessBatch(b, f, batch)
 			})
 		}
 	}
 }
 
-func benchmarkProcessBatch(b *testing.B, mode Mode, batch int) {
-	f := New("bench", mode, 16)
+// dhtStore returns the only member of a fresh two-replica dht cluster.
+func dhtStore() FlowStore {
+	n, err := dht.NewCluster(2).Join("bench")
+	if err != nil {
+		panic(err) // a fresh cluster has no member to collide with
+	}
+	return n
+}
+
+func benchmarkProcessBatch(b *testing.B, f *Forwarder, batch int) {
 	st := labels.Stack{Chain: 77, Egress: 9}
 	next := f.AddHop(NextHop{Kind: KindForwarder, Addr: addr("B", "peer")})
 	prev := f.AddHop(NextHop{Kind: KindEdge, Addr: addr("A", "edge")})
@@ -296,6 +312,53 @@ func TestLabelsBatchZeroAlloc(t *testing.T) {
 		Prev: []WeightedHop{{prev, 1}},
 	})
 	assertLabelsBatchZeroAlloc(t, f, prev, st)
+}
+
+// TestAffinityBatchZeroAlloc holds the affinity path to the labels
+// path's guarantee once a burst's flows are pinned: no allocation per
+// burst, over the sharded flow table (batch lookups) and over a dht
+// member (per-packet lookups), with the caller's BatchResult as the
+// only scratch.
+func TestAffinityBatchZeroAlloc(t *testing.T) {
+	for name, store := range map[string]func() FlowStore{
+		"flowtable": func() FlowStore { return flowtable.New(16) },
+		"dht":       dhtStore,
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := NewWithStore("z", ModeAffinity, store())
+			st := labels.Stack{Chain: 77, Egress: 9}
+			vnf := f.AddHop(NextHop{Kind: KindVNF, Addr: addr("A", "vnf"), LabelAware: true})
+			next := f.AddHop(NextHop{Kind: KindForwarder, Addr: addr("B", "peer")})
+			prev := f.AddHop(NextHop{Kind: KindEdge, Addr: addr("A", "edge")})
+			f.InstallRule(st, RuleSpec{
+				LocalVNF: []WeightedHop{{vnf, 1}},
+				Next:     []WeightedHop{{next, 1}},
+				Prev:     []WeightedHop{{prev, 1}},
+			})
+			const batch = 32
+			pkts := make([]*packet.Packet, batch)
+			froms := make([]flowtable.Hop, batch)
+			for i := range pkts {
+				pkts[i] = benchPacket(st, 0, i)
+				froms[i] = prev
+			}
+			var res BatchResult
+			f.ProcessBatch(pkts, froms, &res) // pins every flow
+			if got := f.FlowCount(); got != batch {
+				t.Fatalf("%d flows pinned, want %d", got, batch)
+			}
+			if avg := testing.AllocsPerRun(100, func() {
+				f.ProcessBatch(pkts, froms, &res)
+			}); avg != 0 {
+				t.Fatalf("affinity batch path allocates %.1f allocs/op, want 0", avg)
+			}
+			for i, err := range res.Errs {
+				if err != nil || res.Hops[i].Addr != addr("A", "vnf") {
+					t.Fatalf("entry %d: hop %+v err %v, want the pinned VNF", i, res.Hops[i], err)
+				}
+			}
+		})
+	}
 }
 
 // Figure 8: horizontal scale-out — N forwarder instances, each pinned to

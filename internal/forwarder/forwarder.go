@@ -276,10 +276,13 @@ type rule struct {
 }
 
 // FlowStore is the forwarder's connection-table contract. The in-memory
-// flowtable.Table is the default; dht.Node plugs in the replicated
-// distributed-hash-table variant (Section 5.3's forwarder fault
-// tolerance), where flow records survive the forwarder that created
-// them.
+// flowtable.Table is the default (New); the Local Switchboard deploys
+// dht.Node (NewWithStore), the replicated distributed-hash-table
+// variant of Section 5.3's forwarder fault tolerance, where flow records
+// survive the forwarder that created them. On stores without
+// LookupBatch the affinity path calls Lookup once per packet, so a
+// Lookup of a pinned flow must not allocate; TestAffinityBatchZeroAlloc
+// holds both stores to it.
 type FlowStore interface {
 	Insert(st labels.Stack, flow packet.FlowKey, rec flowtable.Record)
 	Lookup(st labels.Stack, flow packet.FlowKey) (rec flowtable.Record, forward, ok bool)
@@ -289,10 +292,12 @@ type FlowStore interface {
 }
 
 // BatchFlowStore is an optional FlowStore extension: stores that resolve
-// a whole burst of lookups with shard-grouped locking (one lock per
-// shard per batch). flowtable.Table implements it; stores that don't
-// (e.g. the replicated dht.Node) transparently fall back to per-packet
-// Lookup on the batch path.
+// a whole burst of lookups at once, flowtable.Table with one lock per
+// shard per burst. dht.Node does not implement it; the affinity path
+// then calls Lookup per packet. The slices are the caller's BatchResult
+// scratch, reused for the next burst, so an implementation must not
+// retain them. Entries whose packet was dropped before the lookup carry
+// the zero stack and flow.
 type BatchFlowStore interface {
 	LookupBatch(sts []labels.Stack, flows []packet.FlowKey, recs []flowtable.Record, forwards, oks []bool)
 }
@@ -759,18 +764,45 @@ func (f *Forwarder) Process(p *packet.Packet, from flowtable.Hop) (NextHop, erro
 		froms = [1]flowtable.Hop{from}
 		hops  [1]NextHop
 		errs  [1]error
+		aff   affinityScratch
 	)
-	f.processBatch(pkts[:], froms[:], hops[:], errs[:])
+	f.processBatch(pkts[:], froms[:], hops[:], errs[:], &aff)
 	return hops[0], errs[0]
 }
 
-// BatchResult holds per-entry ProcessBatch outcomes. Reuse one across
-// calls to keep the hot loop allocation-free; ProcessBatch resizes it.
+// BatchResult holds per-entry ProcessBatch outcomes, and the scratch the
+// affinity path needs per burst. Reuse one across calls to keep the hot
+// loop allocation-free; ProcessBatch resizes it.
 type BatchResult struct {
 	// Hops[i] is where pkts[i] must be sent; valid iff Errs[i] == nil.
 	Hops []NextHop
 	// Errs[i] is the per-packet processing error (dropped packet).
 	Errs []error
+
+	aff affinityScratch
+}
+
+// affinityScratch is the affinity path's per-entry working state. It
+// lives in the caller's BatchResult rather than on the stack because
+// the flow-store interface call makes every slice handed to it escape.
+type affinityScratch struct {
+	rules   []*rule
+	sts     []labels.Stack
+	flows   []packet.FlowKey
+	recs    []flowtable.Record
+	fwds    []bool
+	oks     []bool
+	targets []flowtable.Hop
+	// pending lists the connections first seen in this burst.
+	pending []pendingFlow
+}
+
+// pendingFlow is a connection pinned earlier in the same burst.
+type pendingFlow struct {
+	st     labels.Stack
+	canon  packet.FlowKey
+	fwdCan bool
+	rec    flowtable.Record
 }
 
 func (res *BatchResult) resize(n int) {
@@ -782,6 +814,23 @@ func (res *BatchResult) resize(n int) {
 	res.Errs = res.Errs[:n]
 	clear(res.Hops)
 	clear(res.Errs)
+}
+
+// resize readies the scratch for a burst of n entries. Nothing needs
+// clearing: the affinity path writes each entry before reading it.
+func (a *affinityScratch) resize(n int) {
+	if cap(a.rules) < n {
+		a.rules = make([]*rule, n)
+		a.sts = make([]labels.Stack, n)
+		a.flows = make([]packet.FlowKey, n)
+		a.recs = make([]flowtable.Record, n)
+		a.fwds = make([]bool, n)
+		a.oks = make([]bool, n)
+		a.targets = make([]flowtable.Hop, n)
+	}
+	a.rules, a.sts, a.flows = a.rules[:n], a.sts[:n], a.flows[:n]
+	a.recs, a.fwds, a.oks, a.targets = a.recs[:n], a.fwds[:n], a.oks[:n], a.targets[:n]
+	a.pending = a.pending[:0]
 }
 
 // ProcessBatch runs a burst of packets through the forwarding pipeline.
@@ -797,10 +846,10 @@ func (res *BatchResult) resize(n int) {
 // any number of runner cores.
 func (f *Forwarder) ProcessBatch(pkts []*packet.Packet, froms []flowtable.Hop, res *BatchResult) {
 	res.resize(len(pkts))
-	f.processBatch(pkts, froms, res.Hops, res.Errs)
+	f.processBatch(pkts, froms, res.Hops, res.Errs, &res.aff)
 }
 
-func (f *Forwarder) processBatch(pkts []*packet.Packet, froms []flowtable.Hop, hops []NextHop, errs []error) {
+func (f *Forwarder) processBatch(pkts []*packet.Packet, froms []flowtable.Hop, hops []NextHop, errs []error, aff *affinityScratch) {
 	n := len(pkts)
 	if n == 0 {
 		return
@@ -814,7 +863,7 @@ func (f *Forwarder) processBatch(pkts []*packet.Packet, froms []flowtable.Hop, h
 	case ModeLabels:
 		f.labelsBatch(s, pkts, froms, hops, errs, &c)
 	default:
-		f.affinityBatch(s, pkts, froms, hops, errs, &c)
+		f.affinityBatch(s, pkts, froms, hops, errs, aff, &c)
 	}
 	f.flushCounters(&c)
 }
@@ -919,35 +968,10 @@ func (f *Forwarder) labelsBatch(s *snapshot, pkts []*packet.Packet, froms []flow
 	cb.flush()
 }
 
-// affinityScratchSize is the burst size the affinity path handles with
-// stack scratch; larger bursts allocate.
-const affinityScratchSize = 64
-
-func (f *Forwarder) affinityBatch(s *snapshot, pkts []*packet.Packet, froms []flowtable.Hop, hops []NextHop, errs []error, c *batchCounters) {
-	n := len(pkts)
-	var (
-		rbuf  [affinityScratchSize]*rule
-		stbuf [affinityScratchSize]labels.Stack
-		flbuf [affinityScratchSize]packet.FlowKey
-		rcbuf [affinityScratchSize]flowtable.Record
-		fwbuf [affinityScratchSize]bool
-		okbuf [affinityScratchSize]bool
-		tgbuf [affinityScratchSize]flowtable.Hop
-	)
-	rules, sts, flows := rbuf[:], stbuf[:], flbuf[:]
-	recs, fwds, oks, targets := rcbuf[:], fwbuf[:], okbuf[:], tgbuf[:]
-	if n > affinityScratchSize {
-		rules = make([]*rule, n)
-		sts = make([]labels.Stack, n)
-		flows = make([]packet.FlowKey, n)
-		recs = make([]flowtable.Record, n)
-		fwds = make([]bool, n)
-		oks = make([]bool, n)
-		targets = make([]flowtable.Hop, n)
-	} else {
-		rules, sts, flows = rules[:n], sts[:n], flows[:n]
-		recs, fwds, oks, targets = recs[:n], fwds[:n], oks[:n], targets[:n]
-	}
+func (f *Forwarder) affinityBatch(s *snapshot, pkts []*packet.Packet, froms []flowtable.Hop, hops []NextHop, errs []error, a *affinityScratch, c *batchCounters) {
+	a.resize(len(pkts))
+	rules, sts, flows := a.rules, a.sts, a.flows
+	recs, fwds, oks, targets := a.recs, a.fwds, a.oks, a.targets
 
 	// Phase 1: re-affix labels and resolve each entry's rule against the
 	// burst's snapshot (memoizing repeated stacks).
@@ -957,6 +981,9 @@ func (f *Forwarder) affinityBatch(s *snapshot, pkts []*packet.Packet, froms []fl
 		haveRule bool
 	)
 	for i, p := range pkts {
+		// A dropped entry still goes to a batch lookup: give it the zero
+		// key, which no connection has, rather than the last burst's.
+		sts[i], flows[i] = labels.Stack{}, packet.FlowKey{}
 		if !s.relabel(p, froms[i], c) {
 			c.drops++
 			errs[i] = ErrUnlabeled
@@ -1001,14 +1028,6 @@ func (f *Forwarder) affinityBatch(s *snapshot, pkts []*packet.Packet, froms []fl
 	// (symmetric return), falling back to the rule's previous-hop picker
 	// for unknown sources. Later packets of the same new connection
 	// within this burst reuse the pinned record instead of re-picking.
-	type pendingFlow struct {
-		st     labels.Stack
-		canon  packet.FlowKey
-		fwdCan bool
-		rec    flowtable.Record
-	}
-	var pbuf [8]pendingFlow
-	pendings := pbuf[:0]
 	mig := f.migration.Load()
 	for i, p := range pkts {
 		r := rules[i]
@@ -1020,7 +1039,7 @@ func (f *Forwarder) affinityBatch(s *snapshot, pkts []*packet.Packet, froms []fl
 		if !oks[i] {
 			canon, same := p.Key.Canonical()
 			dup := false
-			for _, pe := range pendings {
+			for _, pe := range a.pending {
 				if pe.st == p.Labels && pe.canon == canon {
 					rec = pe.rec
 					forward = same == pe.fwdCan
@@ -1044,7 +1063,7 @@ func (f *Forwarder) affinityBatch(s *snapshot, pkts []*packet.Packet, froms []fl
 				forward = true
 				f.table.Insert(p.Labels, p.Key, rec)
 				c.newFlows++
-				pendings = append(pendings, pendingFlow{st: p.Labels, canon: canon, fwdCan: same, rec: rec})
+				a.pending = append(a.pending, pendingFlow{st: p.Labels, canon: canon, fwdCan: same, rec: rec})
 			}
 		} else if rec.Next != flowtable.None && !r.nextSet[rec.Next] {
 			// Self-heal a dangling next-hop pin: a failover reroute can

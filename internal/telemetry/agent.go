@@ -115,13 +115,14 @@ type Agent struct {
 
 	queue chan *Report
 
-	mu            sync.Mutex
-	epoch         int64 // boot epoch (first capture instant, Unix ns)
-	seq           uint64
-	prevCounters  map[string]uint64
-	lastSpanID    uint64
-	lastEventNs   int64
-	lastAlertPoll time.Time
+	mu           sync.Mutex
+	epoch        int64 // boot epoch (first capture instant, Unix ns)
+	seq          uint64
+	prevCounters map[string]uint64
+	lastSpanID   uint64
+	lastEventNs  int64
+	// alertCursor is just past the newest fired/resolved stamp shipped.
+	alertCursor time.Time
 
 	startOnce sync.Once
 	stop      chan struct{}
@@ -378,12 +379,21 @@ func (a *Agent) collect(now time.Time) *Report {
 	}
 
 	if a.cfg.SLO != nil {
-		alerts := a.cfg.SLO.AlertsSince(a.lastAlertPoll)
+		alerts := a.cfg.SLO.AlertsSince(a.alertCursor)
 		if len(alerts) > a.cfg.MaxAlerts {
 			alerts = alerts[len(alerts)-a.cfg.MaxAlerts:]
 		}
 		r.Alerts = alerts
-		a.lastAlertPoll = now
+		// The cursor follows the shipped stamps, not this capture's time:
+		// an evaluator pass stamps alerts with its tick time, which can
+		// precede a capture that ran before the pass finished.
+		for _, al := range alerts {
+			for _, at := range [2]time.Time{al.FiredAt, al.ResolvedAt} {
+				if !at.IsZero() && !at.Before(a.alertCursor) {
+					a.alertCursor = at.Add(time.Nanosecond)
+				}
+			}
+		}
 	}
 
 	if a.cfg.Traces != nil {

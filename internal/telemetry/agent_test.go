@@ -167,6 +167,37 @@ func TestAgentIncrementalSpansEventsAlerts(t *testing.T) {
 	}
 }
 
+// TestAgentShipsAlertsStampedBeforeCapture covers an evaluator pass that
+// ticked before a capture and finished after it: its alert carries the
+// tick time, earlier than the capture, and must still ship in the next
+// report, as must a resolution stamped the same way.
+func TestAgentShipsAlertsStampedBeforeCapture(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var drops atomic.Uint64
+	ev := slo.New(slo.Config{FireAfter: 1, ResolveAfter: 1})
+	ev.Track(slo.ChainSLO{Chain: "c1", Budget: time.Second, E2E: metrics.NewHistogram(), Drops: drops.Load})
+	a := testAgent(AgentConfig{Registry: reg, SLO: ev})
+
+	ev.Evaluate(time.Unix(10, 0)) // baseline interval
+	if r := a.collect(time.Unix(100, 0)); len(r.Alerts) != 0 {
+		t.Fatalf("alerts before any breach: %+v", r.Alerts)
+	}
+	drops.Add(5)
+	ev.Evaluate(time.Unix(50, 0)) // ticked before the capture at 100
+	r := a.collect(time.Unix(200, 0))
+	if len(r.Alerts) != 1 || r.Alerts[0].Chain != "c1" || !r.Alerts[0].FiredAt.Equal(time.Unix(50, 0)) {
+		t.Fatalf("alerts = %+v, want c1 fired at 50s", r.Alerts)
+	}
+	if r := a.collect(time.Unix(300, 0)); len(r.Alerts) != 0 {
+		t.Fatalf("fired alert re-shipped: %+v", r.Alerts)
+	}
+	ev.Evaluate(time.Unix(250, 0)) // clear: resolves, ticked before 300
+	r = a.collect(time.Unix(400, 0))
+	if len(r.Alerts) != 1 || !r.Alerts[0].ResolvedAt.Equal(time.Unix(250, 0)) {
+		t.Fatalf("alerts = %+v, want c1 resolved at 250s", r.Alerts)
+	}
+}
+
 func TestAgentShedsOnFullQueue(t *testing.T) {
 	reg := metrics.NewRegistry()
 	a := testAgent(AgentConfig{Registry: reg, Queue: 1})
